@@ -16,3 +16,11 @@ Quick start::
 """
 
 __version__ = "2.0.0"
+
+import os as _os
+
+if _os.environ.get("REPRO_SANITIZE", "") not in ("", "0", "false"):
+    # arm the runtime sanitizer whichever part of the package is imported
+    from repro.analysis import sanitizer as _sanitizer
+
+    _sanitizer.enable_sanitizer()

@@ -6,8 +6,7 @@ Two halves live here:
   ``featurematrix``);
 * the simulation-safety toolchain (docs/ANALYSIS.md): **simlint**, an
   AST linter encoding the simulator's determinism/resource invariants
-  (``python -m repro.analysis lint``), its clone-consistency check for
-  the engine's inlined hot loops, and **SimSanitizer**, the opt-in
+  (``python -m repro.analysis lint``), and **SimSanitizer**, the opt-in
   observe-only runtime checker (``REPRO_SANITIZE=1`` or
   :func:`enable_sanitizer`).
 """
@@ -23,7 +22,6 @@ from repro.analysis.sanitizer import (
     disable_sanitizer,
     enable_sanitizer,
     sanitizer_enabled,
-    sanitizer_for,
     sanitizers,
 )
 from repro.analysis.tables import format_series, format_table
@@ -34,5 +32,5 @@ __all__ = [
     "Finding", "FindingSet", "all_rules", "lint_paths", "lint_source",
     "SimSanitizer", "SanitizerError", "Violation",
     "enable_sanitizer", "disable_sanitizer", "sanitizer_enabled",
-    "sanitizer_for", "sanitizers", "all_violations",
+    "sanitizers", "all_violations",
 ]

@@ -13,7 +13,6 @@ import ast
 import os
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis import clones
 from repro.analysis.registry import Site, SourceFile, rule
 
 # -- shared AST helpers -------------------------------------------------------
@@ -497,26 +496,3 @@ def check_fleet_seed(src: SourceFile) -> Iterator[Site]:
                 if verdict is not None:
                     yield node, node.col_offset, \
                         f"worker `{func.name}` {verdict}"
-
-
-# -- SIM108: engine clone consistency -----------------------------------------
-
-
-@rule("SIM108", "clone-consistency",
-      "The engine intentionally inlines its pop-and-process body three "
-      "times (step/run/run_process) for speed; the copies must stay "
-      "semantically identical to each other and to Event._process, or "
-      "the three drift apart and identical workloads diverge depending "
-      "on which entry point drove them.")
-def check_clone_consistency(src: SourceFile) -> Iterator[Site]:
-    basename = os.path.basename(src.path)
-    if basename != "engine.py" or "class Simulator" not in src.source:
-        return
-    events_path = os.path.join(os.path.dirname(src.path), "events.py")
-    if not os.path.exists(events_path):
-        return
-    with open(events_path, encoding="utf-8") as handle:
-        events_source = handle.read()
-    for divergence in clones.compare_clones(src.source, events_source):
-        yield divergence.lineno, 0, \
-            f"clone drift in `{divergence.method}`: {divergence.message}"

@@ -2,12 +2,11 @@
 
 Armed the same way as telemetry (:mod:`repro.obs.telemetry`): a
 process-wide switch — :func:`enable_sanitizer`, or ``REPRO_SANITIZE=1``
-in the environment — after which every newly-built
-:class:`~repro.sim.Simulator` asks :func:`sanitizer_for` and receives a
-live :class:`SimSanitizer` that the engine's hot loops consult once per
-processed event.  Off (the default, and the tier-1 state)
-:func:`sanitizer_for` returns ``None`` and the engine pays one
-``is None`` test per event.
+in the environment — installs a construction hook
+(:mod:`repro.sim.observe`), after which every newly-built
+:class:`~repro.sim.Simulator` carries a live :class:`SimSanitizer`
+among its observers.  Off (the default, and the tier-1 state) no hook
+is installed and the engine runs its plain loop.
 
 The sanitizer only *observes* — it never schedules events, acquires
 resources, advances the clock or raises mid-run — so an enabled run is
@@ -42,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro.obs.flightrec import FlightRecorder
+from repro.sim import observe
 
 
 class SanitizerError(AssertionError):
@@ -60,7 +60,6 @@ class Violation:
         return f"[{self.kind}] t={self.t_ns}ns: {self.detail}"
 
 
-_active = os.environ.get("REPRO_SANITIZE", "") not in ("", "0", "false")
 _flight_events = 256
 _dump_dir: Optional[str] = None
 _sanitizers: List["SimSanitizer"] = []
@@ -68,35 +67,32 @@ _sanitizers: List["SimSanitizer"] = []
 
 def sanitizer_enabled() -> bool:
     """True while the process-wide sanitizer switch is on."""
-    return _active
+    return _attach in observe.hooks()
 
 
 def enable_sanitizer(flight_events: int = 256,
                      dump_dir: Optional[str] = None) -> None:
     """Arm the sanitizer for every subsequently-built simulator."""
-    global _active, _flight_events, _dump_dir
-    _active = True
+    global _flight_events, _dump_dir
     _flight_events = int(flight_events)
     _dump_dir = dump_dir
     _sanitizers.clear()
+    observe.add_hook(_attach)
 
 
 def disable_sanitizer() -> None:
     """Turn the sanitizer off and drop every collected instance."""
-    global _active
-    _active = False
     _sanitizers.clear()
+    observe.remove_hook(_attach)
 
 
-def sanitizer_for(sim: Any) -> Optional["SimSanitizer"]:
-    """A live sanitizer for a new simulator, or ``None`` when off."""
-    if not _active:
-        return None
+def _attach(sim: Any) -> None:
+    """Construction hook: give a new simulator a collected sanitizer."""
     sanitizer = SimSanitizer(sim, flight_events=_flight_events,
                              dump_dir=_dump_dir,
                              label=f"sanitized{len(_sanitizers)}")
     _sanitizers.append(sanitizer)
-    return sanitizer
+    sim.observers.append(sanitizer)
 
 
 def sanitizers() -> List["SimSanitizer"]:
@@ -109,10 +105,10 @@ def all_violations() -> List[Violation]:
     return [v for s in _sanitizers for v in s.violations]
 
 
-class SimSanitizer:
-    """Per-simulator invariant checker driven from the engine hot loop.
+class SimSanitizer(observe.Observer):
+    """Per-simulator invariant checker driven by the engine's observer calls.
 
-    ``on_event`` is the hot-loop entry point: one ring append plus one
+    ``on_event`` is the per-event entry point: one ring append plus one
     integer comparison per processed event.  Everything else runs on
     cold paths (construction, drain, cancel, failure).
     """
@@ -133,7 +129,7 @@ class SimSanitizer:
         self._dump_dir = dump_dir
         self.dumped_to: Optional[str] = None
 
-    # -- registration (called from kernel constructors, observe-only) ------
+    # -- registration (called from kernel constructors) ---------------------
 
     def watch_resource(self, resource: Any) -> None:
         """Track a Resource for the leaked-token drain check."""
@@ -143,7 +139,7 @@ class SimSanitizer:
         """Track a Process for the stuck-process drain check."""
         self._processes.append(process)
 
-    # -- the engine hot-loop hook ------------------------------------------
+    # -- the per-event hook -------------------------------------------------
 
     def on_event(self, when: int, event: Any) -> None:
         """Record one processed event; flag time running backwards."""
@@ -165,8 +161,10 @@ class SimSanitizer:
             "double-cancel", self.sim.now,
             f"cancel() on an already-cancelled {timeout!r}"))
 
-    def on_drain(self) -> None:
-        """The queue drained: audit resources and processes."""
+    def on_stop(self, drained: bool) -> None:
+        """A run stopped; on a true drain, audit resources and processes."""
+        if not drained:
+            return
         now = self.sim.now
         for resource in self._resources:
             held = resource.in_use
@@ -189,9 +187,9 @@ class SimSanitizer:
                     "process never finished although the event queue "
                     f"drained: {process!r}"))
 
-    def on_failure(self, error: BaseException) -> Optional[str]:
+    def on_failure(self, error: BaseException) -> None:
         """Dump a post-mortem when the run the sanitizer watched failed."""
-        return self._dump(error=error)
+        self._dump(error=error)
 
     # -- reporting ----------------------------------------------------------
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.common.histogram import LogHistogram
 from repro.common.units import MB, SEC
-from repro.obs.histogram import LogHistogram
 
 
 class LatencyRecorder:
     """Collects per-request latencies (ns) and summarizes them.
 
-    Backed by a streaming :class:`~repro.obs.histogram.LogHistogram`:
+    Backed by a streaming :class:`~repro.common.histogram.LogHistogram`:
     memory stays bounded no matter how many samples arrive (the seed
     implementation kept every sample forever and re-sorted per
     percentile call).  ``count``/``mean``/``min``/``max`` are exact;

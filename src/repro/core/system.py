@@ -24,6 +24,7 @@ from repro.hostos.blocklayer import BlockLayer
 from repro.hostos.kernel import KernelProfile, kernel_by_version
 from repro.hostos.pagecache import PageCache
 from repro.obs import MetricsRegistry
+from repro.obs.telemetry import probe_of
 from repro.sim import Simulator
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
@@ -185,7 +186,7 @@ class FullSystem:
                 causal_scope.register(f"{component}.ns",
                                       _component_gauge(component))
         # telemetry (when armed) samples this registry every epoch
-        probe = self.sim.telemetry
+        probe = probe_of(self.sim)
         if probe is not None:
             probe.bind_registry(reg, label=f"{probe.label}-{self.interface}")
 

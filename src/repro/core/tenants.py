@@ -6,7 +6,7 @@ submission queue, so the device-side arbiter
 (:mod:`repro.ssd.firmware.arbiter`) is what decides whose commands are
 served under contention.  Tenants run either *closed-loop* (a fixed
 ``iodepth``, FIO-style) or *open-loop* (requests injected at times
-drawn from an arrival process in :mod:`repro.workloads.synthetic`,
+drawn from an arrival process in :mod:`repro.core.arrivals`,
 regardless of completions — the regime where queueing delay and QoS
 policy dominate tail latency).
 
@@ -30,8 +30,8 @@ from repro.common.iorequest import IOKind, IORequest
 from repro.common.recorders import BandwidthRecorder, LatencyRecorder
 from repro.common.stats import jain_fairness
 from repro.common.units import MB, SEC
+from repro.core.arrivals import ZipfianHotspot, arrival_from_spec
 from repro.core.metrics import MultiTenantResult, TenantResult
-from repro.workloads.synthetic import ZipfianHotspot, arrival_from_spec
 
 _USER_SUBMIT = InstructionMix.typical(700)
 _USER_REAP = InstructionMix.typical(400)

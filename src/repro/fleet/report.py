@@ -21,12 +21,12 @@ import html as _html
 import json
 from typing import Dict, List, Optional
 
+from repro.common.histogram import LogHistogram
 from repro.experiments.golden import canonicalize
 from repro.fleet.spec import SweepSpec
 from repro.fleet.store import ResultStore
 from repro.obs.causal import COMPONENTS
 from repro.obs.diff import merged_ops
-from repro.obs.histogram import LogHistogram
 from repro.obs.timeseries import TimeSeries, sparkline
 
 #: scalar metrics surfaced in the per-job and per-group tables

@@ -2,7 +2,8 @@
 
 Two substrates, documented in detail in ``docs/OBSERVABILITY.md``:
 
-* **Tracing** (:mod:`repro.obs.tracer`): nested spans in *simulated*
+* **Tracing** (span recorder :mod:`repro.sim.tracer`, switch
+  :mod:`repro.obs.runtime`): nested spans in *simulated*
   time, keyed by I/O request id, opened and closed at every layer of
   the stack (``io.submit`` -> ``os.blocklayer`` -> ``nvme.sq`` /
   ``ahci`` / ``ufs.utp`` / ``ocssd.pblk`` -> ``hil`` -> ``icl`` ->
@@ -28,10 +29,9 @@ HTML/Markdown reports of :mod:`repro.obs.report`
 (``python -m repro.experiments <fig> --report out.html``).
 
 Tracing and telemetry are off by default and zero-cost when off:
-simulators carry the shared :data:`NULL_TRACER` and a ``None`` probe
-until :func:`repro.obs.runtime.enable_tracing` /
-:func:`repro.obs.telemetry.enable_telemetry` are called (e.g. by
-``python -m repro.experiments <fig> --trace out.json --report out.html``).
+simulators carry the shared :data:`NULL_TRACER` and no observers until
+:func:`enable_tracing` / :func:`enable_telemetry` install construction
+hooks (:mod:`repro.sim.observe`), e.g. via ``--trace``/``--report``.
 
 Two wall-clock substrates complete the picture (both deliberately
 outside the simulated-time determinism contract): the **run journal**
@@ -43,6 +43,7 @@ off by default and zero-cost when off, and neither ever perturbs
 simulated results.
 """
 
+from repro.common.histogram import LogHistogram
 from repro.obs.causal import (
     CHAIN_CAP,
     COMPONENTS,
@@ -70,7 +71,6 @@ from repro.obs.export import (
     write_metrics_csv,
 )
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.histogram import LogHistogram
 from repro.obs.journal import (
     JOURNAL_NAME,
     RunJournal,
@@ -89,7 +89,6 @@ from repro.obs.profiler import (
     disable_profiling,
     enable_profiling,
     hottest_layers,
-    profiler_for,
     profilers,
     profiling_enabled,
     write_profile,
@@ -102,7 +101,6 @@ from repro.obs.runtime import (
     enable_tracing,
     label_latest_tracer,
     metric_snapshots,
-    tracer_for,
     tracers,
     tracing_enabled,
 )
@@ -111,12 +109,12 @@ from repro.obs.telemetry import (
     disable_telemetry,
     enable_telemetry,
     label_latest_probe,
-    probe_for,
+    probe_of,
     probes,
     telemetry_enabled,
 )
 from repro.obs.timeseries import TimeSeries, sparkline
-from repro.obs.tracer import (
+from repro.sim.tracer import (
     NULL_SPAN_CONTEXT,
     NULL_TRACER,
     NullTracer,
@@ -160,7 +158,6 @@ __all__ = [
     "enable_tracing",
     "label_latest_tracer",
     "metric_snapshots",
-    "tracer_for",
     "tracers",
     "tracing_enabled",
     "FlightRecorder",
@@ -183,14 +180,13 @@ __all__ = [
     "gather",
     "hottest_layers",
     "journal_path_for",
-    "profiler_for",
     "profilers",
     "profiling_enabled",
     "wall_now",
     "write_profile",
     "write_profile_trace",
     "label_latest_probe",
-    "probe_for",
+    "probe_of",
     "probes",
     "render_html",
     "render_markdown",

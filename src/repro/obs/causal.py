@@ -1,6 +1,6 @@
 """Per-request causal latency forensics: exact component decomposition.
 
-The span tracer (:mod:`repro.obs.tracer`) answers *where time was
+The span tracer (:mod:`repro.sim.tracer`) answers *where time was
 spent*; this module answers *why a particular request was slow*.  A
 :class:`CausalTracer` streams every span begin/end on a track into a
 **self-time partition**: at each event, the simulated time elapsed
@@ -51,7 +51,7 @@ Memory is bounded: per-request state is dropped when the root span
 closes unless the request lands in the per-op **top-K min-heap** of
 worst offenders (fixed ``top_k``, default 8), whose full causal chains
 are capped at :data:`CHAIN_CAP` entries.  Aggregates are per-op
-:class:`~repro.obs.histogram.LogHistogram` objects (bounded buckets).
+:class:`~repro.common.histogram.LogHistogram` objects (bounded buckets).
 
 Capture follows the house observability contract: **zero-cost when
 off** (the process-wide switch is down and every simulator carries the
@@ -65,8 +65,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.histogram import LogHistogram
-from repro.obs.tracer import Span, Tracer
+from repro.common.histogram import LogHistogram
+from repro.sim.tracer import Span, Tracer
 
 #: the fixed component order (stable across reports and goldens)
 COMPONENTS = ("host_queue", "nvme_sq", "hil_arb", "icl", "ftl", "gc_stall",
@@ -138,7 +138,7 @@ class _TrackState:
 class CausalTracer(Tracer):
     """A tracer that folds spans into exact causal latency records.
 
-    Drop-in for :class:`~repro.obs.tracer.Tracer` (every instrumented
+    Drop-in for :class:`~repro.sim.tracer.Tracer` (every instrumented
     call site keeps working, including Chrome-trace export when span
     retention is on), plus the streaming self-time partition described
     in the module docstring.  ``retain_spans=False`` (the default when
@@ -371,8 +371,8 @@ class CausalTracer(Tracer):
 #
 # Mirrors repro.obs.runtime: experiments and fleet workers build fresh
 # Simulators internally, so causal capture is armed process-wide and
-# every subsequently-built simulator's tracer_for() hands out a
-# CausalTracer registered here.
+# runtime's construction hook hands every subsequently-built simulator
+# a CausalTracer registered here.
 
 _active = False
 _top_k = 8
@@ -390,6 +390,8 @@ def enable_causal(top_k: int = 8) -> None:
     _active = True
     _top_k = top_k
     _collectors.clear()
+    from repro.obs.runtime import sync_tracer_hook
+    sync_tracer_hook()
 
 
 def disable_causal() -> None:
@@ -397,6 +399,8 @@ def disable_causal() -> None:
     global _active
     _active = False
     _collectors.clear()
+    from repro.obs.runtime import sync_tracer_hook
+    sync_tracer_hook()
 
 
 def causal_tracer_for(clock, retain_spans: bool = False) -> CausalTracer:

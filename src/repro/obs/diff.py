@@ -28,8 +28,8 @@ import html as _html
 import json
 from typing import Dict, List, Optional
 
+from repro.common.histogram import LogHistogram
 from repro.obs.causal import COMPONENTS
-from repro.obs.histogram import LogHistogram
 
 #: scalar result keys echoed in the explain header when both runs have them
 _SCALAR_KEYS = ("iops", "bandwidth_mbps", "mean_latency_us",

@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.common.histogram import LogHistogram
 from repro.common.stats import percentile_sorted
-from repro.obs.histogram import LogHistogram
-from repro.obs.tracer import Span, Tracer
+from repro.sim.tracer import Span, Tracer
 
 
 def chrome_trace_events(spans: Iterable[Span], pid: int = 0) -> List[dict]:

@@ -3,32 +3,29 @@
 The paper's pitch — modeling all SSD resources is affordable — lives or
 dies on simulator speed, and the next order-of-magnitude speedup
 (ROADMAP item 2) needs to know **which models burn the wall clock**,
-not just how long a whole run took.  Tracing (:mod:`repro.obs.tracer`)
+not just how long a whole run took.  Tracing (:mod:`repro.sim.tracer`)
 answers that in *simulated* time; this module answers it in *host*
 time.
 
 When :func:`enable_profiling` is armed, every new
-:class:`~repro.sim.Simulator` carries a :class:`WallProfiler` and its
-``run``/``run_process`` entry points delegate to the profiled loop
-clones below, which wrap each event dispatch in ``perf_counter`` reads
-and attribute the elapsed wall time to the **layer** that consumed it
+:class:`~repro.sim.Simulator` carries a :class:`WallProfiler` among its
+observers (:mod:`repro.sim.observe`).  The engine's observed loop calls
+it around each event dispatch; it reads ``perf_counter`` there and
+attributes the elapsed wall time to the **layer** that consumed it
 (``sim``/``host``/``hostos``/``nvme``/``icl``/``ftl``/``gc``/``fil``/
 ``flash``/…).  Attribution keys off the dispatched callback: a plain
 callback is charged to the module its code lives in; resuming a
 :class:`~repro.sim.process.Process` is charged to the module that
 *defines the generator* (the model, not the kernel plumbing).  Loop
 overhead that no callback accounts for — heap pops, tombstone skips,
-the observe-only hooks — is booked under ``sim``, so every measured
+the other observers — is booked under ``sim``, so every measured
 nanosecond is attributed to some layer.
 
-The profiled loops replicate the engine's inlined hot loops statement
-for statement (tombstones, orphan recording, telemetry/sanitizer hooks,
-deadline semantics), so a profiled run is **bit-identical** to a plain
+Observers only watch, so a profiled run is **bit-identical** to a plain
 one: same ``events_processed``, same ``sim.now``, same results — only
 wall clocks differ (``tests/test_obs_profiler.py`` pins this against
-the perf scenarios).  Off — the default — :func:`profiler_for` returns
-``None`` and the engine pays one ``is None`` test per ``run`` call,
-nothing per event.
+the perf scenarios).  Off — the default — no profiler is attached and
+the engine runs its plain loop.
 
 Exports: :func:`attribution` (merged per-layer totals),
 :func:`attribution_markdown` (the table the next perf PR reads) and
@@ -52,6 +49,8 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.sim import observe
+
 #: (path fragment, layer) — first match wins, checked on "/"-normalized
 #: code-object filenames; the order goes from most to least specific.
 _CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
@@ -74,14 +73,13 @@ _CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
     ("/repro/sim/", "sim"),
 )
 
-_active = False
 _max_slices = 2048
 _profilers: List["WallProfiler"] = []
 
 
 def profiling_enabled() -> bool:
     """True while the process-wide profiling switch is on."""
-    return _active
+    return _attach in observe.hooks()
 
 
 def enable_profiling(max_slices: int = 2048) -> None:
@@ -91,29 +89,26 @@ def enable_profiling(max_slices: int = 2048) -> None:
     slices each profiler retains for the Chrome trace; attribution
     totals always cover every event regardless.
     """
-    global _active, _max_slices
+    global _max_slices
     if max_slices < 1:
         raise ValueError("max_slices must be >= 1")
-    _active = True
     _max_slices = int(max_slices)
     _profilers.clear()
+    observe.add_hook(_attach)
 
 
 def disable_profiling() -> None:
     """Turn profiling off and drop every collected profiler."""
-    global _active
-    _active = False
     _profilers.clear()
+    observe.remove_hook(_attach)
 
 
-def profiler_for(sim) -> Optional["WallProfiler"]:
-    """A live profiler for a new simulator, or ``None`` when off."""
-    if not _active:
-        return None
+def _attach(sim) -> None:
+    """Construction hook: give a new simulator a collected profiler."""
     profiler = WallProfiler(label=f"system{len(_profilers)}",
                             max_slices=_max_slices)
     _profilers.append(profiler)
-    return profiler
+    sim.observers.append(profiler)
 
 
 def profilers() -> List["WallProfiler"]:
@@ -150,18 +145,18 @@ def _callback_code(callback) -> Any:
     return getattr(func, "__code__", None)
 
 
-class WallProfiler:
+class WallProfiler(observe.Observer):
     """Per-simulator wall-time accumulator, attributed per layer/module.
 
-    ``record`` runs once per dispatched event inside the profiled loops;
-    it is deliberately dictionary arithmetic only.  Category/module
-    lookups are memoized per code object, so steady state costs one
-    dict hit plus two float adds per event.
+    ``record`` runs once per dispatched event; it is deliberately
+    dictionary arithmetic only.  Category/module lookups are memoized
+    per code object, so steady state costs one dict hit plus two float
+    adds per event.
     """
 
     __slots__ = ("label", "max_slices", "run_wall_s", "dispatch_wall_s",
                  "events", "runs", "categories", "modules", "_slices",
-                 "_by_code")
+                 "_by_code", "_run_start", "_t0", "_callbacks")
 
     def __init__(self, label: str = "", max_slices: int = 2048) -> None:
         self.label = label
@@ -177,6 +172,31 @@ class WallProfiler:
         #: min-heap of (dur_s, seq, ts_s, category, name): slowest kept
         self._slices: List[Tuple[float, int, float, str, str]] = []
         self._by_code: Dict[Any, Tuple[str, str]] = {}
+        self._run_start: Optional[float] = None   # first event of a run
+        self._t0 = 0.0                            # dispatch start
+        self._callbacks: Any = None               # of the event in flight
+
+    # -- observer hooks ----------------------------------------------------
+
+    def on_event(self, when: int, event: Any) -> None:
+        """Start timing the dispatch of ``event``."""
+        self._callbacks = event.callbacks
+        t0 = self._t0 = time.perf_counter()  # simlint: disable=SIM101 -- the profiler measures host time; it never enters simulated results
+        if self._run_start is None:
+            self._run_start = t0
+
+    def on_dispatched(self, event: Any) -> None:
+        """Charge the finished dispatch to its layer."""
+        t0 = self._t0
+        elapsed = time.perf_counter() - t0  # simlint: disable=SIM101 -- the profiler measures host time; it never enters simulated results
+        self.record(self._callbacks, t0 - self._run_start, elapsed)
+
+    def on_stop(self, drained: bool) -> None:
+        """Close the run: its wall time spans first event to stop."""
+        start = self._run_start
+        self._run_start = None
+        end = time.perf_counter()  # simlint: disable=SIM101 -- the profiler measures host time; it never enters simulated results
+        self.note_run(0.0 if start is None else end - start)
 
     # -- hot path ----------------------------------------------------------
 
@@ -371,106 +391,3 @@ def write_profile(base_path,
         handle.write(attribution_markdown(profs, title=title))
     write_profile_trace(trace_path, profs)
     return [markdown_path, trace_path]
-
-
-# -- the profiled engine loops ------------------------------------------------
-#
-# Exact mirrors of Simulator.run / Simulator.run_process (repro.sim.
-# engine) with perf_counter reads wrapped around each callback dispatch.
-# They live here — not in engine.py — so every wall-clock read in the
-# tree stays inside a designated profiling module (simlint SIM110), and
-# so the unprofiled hot loops stay byte-for-byte what SIM108 pins.
-# tests/test_obs_profiler.py holds the behavioural equivalence
-# (events_processed, sim.now, results) against the unprofiled engine.
-
-
-def run_profiled(sim, until: Optional[int] = None) -> None:
-    """Profiled clone of :meth:`repro.sim.engine.Simulator.run`."""
-    profiler = sim.profiler
-    queue = sim._queue
-    pop = heapq.heappop
-    record_orphan = sim._record_orphan_failure
-    telemetry = sim.telemetry
-    sanitizer = sim.sanitizer
-    record = profiler.record
-    clock = time.perf_counter
-    t_loop = clock()
-    try:
-        while queue:
-            if until is not None and queue[0][0] > until:
-                sim._now = until
-                return
-            when, _seq, event = pop(queue)
-            if event._cancelled:
-                continue
-            sim._now = when
-            sim._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
-            event._processed = True
-            callbacks, event.callbacks = event.callbacks, None
-            if not event._ok and not callbacks:
-                record_orphan(event)
-            t0 = clock()
-            for callback in callbacks:
-                callback(event)
-            record(callbacks, t0 - t_loop, clock() - t0)
-        if until is not None:
-            sim._now = until
-        elif sanitizer is not None:
-            sanitizer.on_drain()
-    finally:
-        profiler.note_run(clock() - t_loop)
-
-
-def run_process_profiled(sim, generator,
-                         until: Optional[int] = None) -> Any:
-    """Profiled clone of :meth:`repro.sim.engine.Simulator.run_process`."""
-    profiler = sim.profiler
-    proc = sim.process(generator)
-    queue = sim._queue
-    pop = heapq.heappop
-    record_orphan = sim._record_orphan_failure
-    telemetry = sim.telemetry
-    sanitizer = sim.sanitizer
-    record = profiler.record
-    clock = time.perf_counter
-    t_loop = clock()
-    try:
-        while not proc._processed and queue:
-            if until is not None and queue[0][0] > until:
-                break
-            when, _seq, event = pop(queue)
-            if event._cancelled:
-                continue
-            sim._now = when
-            sim._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
-            event._processed = True
-            callbacks, event.callbacks = event.callbacks, None
-            if not event._ok and not callbacks:
-                record_orphan(event)
-            t0 = clock()
-            for callback in callbacks:
-                callback(event)
-            record(callbacks, t0 - t_loop, clock() - t0)
-    finally:
-        profiler.note_run(clock() - t_loop)
-    if not proc._processed:
-        if until is not None and sim._now < until:
-            sim._now = until
-        sim.check_orphan_failures()
-        error = RuntimeError("process did not complete"
-                             + ("" if until is None
-                                else " before the deadline"))
-        sim._notify_failure(error)
-        raise error
-    if not proc._ok:
-        sim._notify_failure(proc._value)
-        raise proc._value
-    return proc._value

@@ -2,17 +2,17 @@
 
 Experiments build a fresh :class:`~repro.sim.Simulator` per data point,
 so there is no single object a CLI flag could hand a tracer to.  This
-module is the rendezvous: :func:`enable_tracing` flips a process-wide
-switch, after which every newly-constructed ``Simulator`` asks
-:func:`tracer_for` and receives a live :class:`~repro.obs.tracer.Tracer`
+module is the rendezvous: :func:`enable_tracing` installs a construction
+hook (:mod:`repro.sim.observe`), after which every newly-constructed
+``Simulator`` receives a live :class:`~repro.sim.tracer.Tracer`
 (registered here for later export) instead of the shared
-:data:`~repro.obs.tracer.NULL_TRACER`.  Metric snapshots taken at the
+:data:`~repro.sim.tracer.NULL_TRACER`.  Metric snapshots taken at the
 end of each run land here too, labelled per system.
 
 With the switch off — the default, and the state every tier-1 test runs
-under — :func:`tracer_for` returns the null tracer and both collection
-functions are no-ops, so simulation behaviour and figure output are
-byte-identical to a build without this module.
+under — no hook is installed and both collection functions are no-ops,
+so simulation behaviour and figure output are byte-identical to a build
+without this module.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.obs import causal as _causal
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.sim import observe
+from repro.sim.tracer import Tracer
 
 _active = False
 _tracers: List[Tracer] = []
@@ -38,6 +39,7 @@ def enable_tracing() -> None:
     _active = True
     _tracers.clear()
     _metric_snapshots.clear()
+    sync_tracer_hook()
 
 
 def disable_tracing() -> None:
@@ -46,10 +48,19 @@ def disable_tracing() -> None:
     _active = False
     _tracers.clear()
     _metric_snapshots.clear()
+    sync_tracer_hook()
 
 
-def tracer_for(clock) -> Tracer:
-    """Tracer for a new simulator: live and collected, or the null one.
+def sync_tracer_hook() -> None:
+    """Install the tracer hook while tracing or causal capture is on."""
+    if _active or _causal.causal_enabled():
+        observe.add_hook(_attach)
+    else:
+        observe.remove_hook(_attach)
+
+
+def _attach(sim) -> None:
+    """Construction hook: give a new simulator a live tracer.
 
     When causal capture (:mod:`repro.obs.causal`) is armed the tracer is
     a :class:`~repro.obs.causal.CausalTracer` — still a full span tracer
@@ -57,15 +68,12 @@ def tracer_for(clock) -> Tracer:
     export and causal records come from one pass.
     """
     if _causal.causal_enabled():
-        tracer = _causal.causal_tracer_for(clock, retain_spans=_active)
-        if _active:
-            _tracers.append(tracer)
-        return tracer
-    if not _active:
-        return NULL_TRACER
-    tracer = Tracer(clock)
-    _tracers.append(tracer)
-    return tracer
+        tracer: Tracer = _causal.causal_tracer_for(sim, retain_spans=_active)
+    else:
+        tracer = Tracer(sim)
+    if _active:
+        _tracers.append(tracer)
+    sim.tracer = tracer
 
 
 def tracers() -> List[Tracer]:

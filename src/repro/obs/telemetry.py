@@ -2,13 +2,12 @@
 
 Like span tracing (:mod:`repro.obs.runtime`), telemetry is a
 process-wide switch because experiments build a fresh ``Simulator`` per
-data point.  :func:`enable_telemetry` arms it; afterwards every new
-``Simulator`` asks :func:`probe_for` and receives a live
-:class:`TelemetryProbe` that the engine's hot loop consults once per
-processed event.  With the switch off — the default and the tier-1
-state — :func:`probe_for` returns ``None`` and the engine pays exactly
-one ``is not None`` test per event, scheduling nothing, so runs are
-bit-identical to a build without this module.
+data point.  :func:`enable_telemetry` installs a construction hook
+(:mod:`repro.sim.observe`); afterwards every new ``Simulator`` carries a
+live :class:`TelemetryProbe` among its observers, which the engine
+calls once per processed event.  With the switch off — the default and
+the tier-1 state — no hook is installed and the engine runs its plain
+loop, so runs are bit-identical to a build without this module.
 
 The probe does three things, all in *observation only* — it never
 schedules events, acquires resources or advances the clock, so even
@@ -35,11 +34,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.timeseries import TimeSeries
+from repro.sim import observe
 
-#: sentinel "never fires" deadline for disabled epoch sampling
-_NEVER = 1 << 62
-
-_active = False
 _epoch_ns = 100_000
 _flight_events = 256
 _max_points = 512
@@ -50,7 +46,7 @@ _epoch_listener: Optional[Callable[["TelemetryProbe", int], None]] = None
 
 def telemetry_enabled() -> bool:
     """True while the process-wide telemetry switch is on."""
-    return _active
+    return _attach in observe.hooks()
 
 
 def enable_telemetry(epoch_ns: int = 100_000, flight_events: int = 256,
@@ -63,22 +59,21 @@ def enable_telemetry(epoch_ns: int = 100_000, flight_events: int = 256,
     series; ``dump_dir`` is where failure post-mortems are written
     (default: the current directory).
     """
-    global _active, _epoch_ns, _flight_events, _max_points, _dump_dir
+    global _epoch_ns, _flight_events, _max_points, _dump_dir
     if epoch_ns < 1:
         raise ValueError("epoch_ns must be >= 1")
-    _active = True
     _epoch_ns = int(epoch_ns)
     _flight_events = int(flight_events)
     _max_points = int(max_points)
     _dump_dir = dump_dir
     _probes.clear()
+    observe.add_hook(_attach)
 
 
 def disable_telemetry() -> None:
     """Turn telemetry off and drop every collected probe."""
-    global _active
-    _active = False
     _probes.clear()
+    observe.remove_hook(_attach)
 
 
 def set_epoch_listener(
@@ -97,16 +92,22 @@ def set_epoch_listener(
     _epoch_listener = listener
 
 
-def probe_for(sim) -> Optional["TelemetryProbe"]:
-    """A live probe for a new simulator, or ``None`` when off."""
-    if not _active:
-        return None
+def _attach(sim) -> None:
+    """Construction hook: give a new simulator a collected probe."""
     probe = TelemetryProbe(sim, epoch_ns=_epoch_ns,
                            flight_events=_flight_events,
                            max_points=_max_points, dump_dir=_dump_dir,
                            label=f"system{len(_probes)}")
     _probes.append(probe)
-    return probe
+    sim.observers.append(probe)
+
+
+def probe_of(sim) -> Optional["TelemetryProbe"]:
+    """The probe observing ``sim``, or ``None`` when it has none."""
+    for observer in sim.observers:
+        if isinstance(observer, TelemetryProbe):
+            return observer
+    return None
 
 
 def probes() -> List["TelemetryProbe"]:
@@ -121,10 +122,10 @@ def label_latest_probe(label: str) -> None:
         _probes[-1].flight.label = label
 
 
-class TelemetryProbe:
+class TelemetryProbe(observe.Observer):
     """Per-simulator epoch sampler + flight recorder.
 
-    ``on_event`` is the engine hot-loop entry point: ring-append plus a
+    ``on_event`` is the per-event entry point: ring-append plus a
     single integer comparison against ``next_due``; the expensive
     registry sweep happens at most once per crossed epoch boundary.
     """
@@ -166,7 +167,7 @@ class TelemetryProbe:
             self.label = label
             self.flight.label = label
 
-    # -- the engine hot-loop hook -----------------------------------------
+    # -- the per-event hook -----------------------------------------------
 
     def on_event(self, when: int, event) -> None:
         """Record one processed event; sample when an epoch boundary passes."""

@@ -1,32 +1,38 @@
 """The event loop at the heart of the simulation.
 
-Hot-path note: ``run``/``run_process`` inline the pop-and-process body
-of :meth:`Simulator.step` (and of ``Event._process``) with the heap and
+Hot-path note: :meth:`Simulator.run` inlines the pop-and-process body of
+:meth:`Simulator.step` (and of ``Event._process``) with the heap and
 counters bound to locals — the loop runs hundreds of thousands of times
-per macro benchmark and attribute lookups dominate otherwise.  All three
-copies must stay semantically identical; the golden determinism suite
-(``tests/golden``) pins the observable behaviour, and simlint's
-clone-consistency rule (SIM108, ``repro.analysis.clones``) diffs the
-normalized loop bodies so any drift fails
-``python -m repro.analysis lint`` before it can ship.
+per macro benchmark and attribute lookups dominate otherwise.  ``step``
+is the reference: ``run`` drives it instead whenever an observer is
+attached (:mod:`repro.sim.observe`), and a differential test
+(``tests/test_sim_differential.py``) holds the plain loop, a loop of
+``step`` calls and the observed loop to the same dispatch order,
+counters, clock, results and errors.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, List, Optional
 
-from repro.analysis.sanitizer import sanitizer_for
-from repro.obs.profiler import profiler_for, run_process_profiled, run_profiled
-from repro.obs.runtime import tracer_for
-from repro.obs.telemetry import probe_for
+from repro.sim import observe
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
+from repro.sim.tracer import NULL_TRACER
 
 
 class EmptySchedule(Exception):
     """Raised by :meth:`Simulator.step` when no events remain."""
+
+
+class _StopRun(Exception):
+    """Raised out of ``run`` when the ``run_process`` process finishes."""
+
+
+def _stop_run(_event: Event) -> None:
+    raise _StopRun()
 
 
 class Simulator:
@@ -41,35 +47,12 @@ class Simulator:
     counting toward ``events_processed``, so a cancel storm does not
     perturb the simulation-speed metric.
 
-    Every simulator carries a ``tracer`` (see :mod:`repro.obs`): the
-    shared no-op ``NULL_TRACER`` by default, or a live span recorder when
-    process-wide tracing is enabled.  Spans record simulated time only
-    and never schedule events, so tracing cannot perturb results.
-
-    It likewise carries a ``telemetry`` probe (``None`` by default, live
-    when :func:`repro.obs.telemetry.enable_telemetry` was called): the
-    loop hands it each processed event so it can flight-record and take
-    epoch samples.  The probe only *observes* — it schedules nothing —
-    so even enabled telemetry changes neither ``events_processed`` nor
-    any simulated result; disabled, it costs one ``is None`` test per
-    event.
-
-    A third observe-only hook, the ``sanitizer`` (``None`` by default,
-    live when :func:`repro.analysis.sanitizer.enable_sanitizer` was
-    called or ``REPRO_SANITIZE=1`` is set), sees each processed event
-    the same way and audits resources and processes when the queue
-    drains — detecting causality violations, leaked resource tokens and
-    stuck processes without scheduling anything, so a sanitized run is
-    bit-identical to a plain one.
-
-    The fourth hook, the ``profiler`` (``None`` by default, live when
-    :func:`repro.obs.profiler.enable_profiling` was called), works
-    differently: instead of being consulted per event, its presence
-    makes ``run``/``run_process`` delegate to the profiled loop clones
-    in :mod:`repro.obs.profiler`, which wrap each dispatch in
-    ``perf_counter`` reads to attribute wall time per layer.  Profiled
-    runs stay bit-identical to plain ones (pinned by test); off, the
-    cost is one ``is None`` test per ``run`` call, nothing per event.
+    Every simulator carries a ``tracer``: the shared no-op
+    ``NULL_TRACER`` unless a construction hook attached a live span
+    recorder.  Spans record simulated time only and never schedule
+    events, so tracing cannot perturb results.  It also carries
+    ``observers`` (:mod:`repro.sim.observe`), empty unless a
+    construction hook attached some.
     """
 
     def __init__(self) -> None:
@@ -78,20 +61,18 @@ class Simulator:
         self._sequence: Iterator[int] = count()
         self._event_count: int = 0
         self._orphan_failures: list = []
-        self.tracer = tracer_for(self)
-        self.telemetry = probe_for(self)
-        self.sanitizer = sanitizer_for(self)
-        self.profiler = profiler_for(self)
+        self.tracer = NULL_TRACER
+        self.observers: List[observe.Observer] = []
+        for hook in observe.hooks():
+            hook(self)
 
     def _record_orphan_failure(self, event) -> None:
         self._orphan_failures.append(event)
 
     def _notify_failure(self, error: BaseException) -> None:
-        """Hand a run failure to the telemetry/sanitizer post-mortems."""
-        if self.telemetry is not None:
-            self.telemetry.on_failure(error)
-        if self.sanitizer is not None:
-            self.sanitizer.on_failure(error)
+        """Hand a run failure to the observers' post-mortems."""
+        for observer in self.observers:
+            observer.on_failure(error)
 
     def check_orphan_failures(self) -> None:
         """Raise the first failure of a process nobody waited on."""
@@ -165,19 +146,18 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one live event (skipping tombstones)."""
         queue = self._queue
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
         while queue:
             when, _seq, event = heapq.heappop(queue)
             if event._cancelled:
                 continue
             self._now = when
             self._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
+            observers = self.observers
+            for observer in observers:
+                observer.on_event(when, event)
             event._process()
+            for observer in observers:
+                observer.on_dispatched(event)
             return
         raise EmptySchedule()
 
@@ -185,14 +165,13 @@ class Simulator:
         """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self._now:
             raise ValueError("until lies in the past")
-        if self.profiler is not None:
-            return run_profiled(self, until)
+        if self.observers:
+            self._run_observed(until)
+            return
         # Inlined step()/Event._process() with locals for the hot loop.
         queue = self._queue
         pop = heapq.heappop
         record_orphan = self._record_orphan_failure
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
         while queue:
             if until is not None and queue[0][0] > until:
                 self._now = until
@@ -202,10 +181,6 @@ class Simulator:
                 continue
             self._now = when
             self._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
             event._processed = True
             callbacks, event.callbacks = event.callbacks, None
             if not event._ok and not callbacks:
@@ -214,55 +189,52 @@ class Simulator:
                 callback(event)
         if until is not None:
             self._now = until
-        elif sanitizer is not None:
-            # true drain (no deadline cut the run short): audit held
-            # tokens and unfinished processes
-            sanitizer.on_drain()
+
+    def _run_observed(self, until: Optional[int]) -> None:
+        """:meth:`run` as a loop of :meth:`step` calls, then ``on_stop``."""
+        when = self.peek()
+        try:
+            while when is not None and (until is None or when <= until):
+                self.step()
+                when = self.peek()
+            if until is not None:
+                self._now = until
+        finally:
+            drained = when is None and until is None
+            for observer in self.observers:
+                observer.on_stop(drained)
 
     def run_process(self, generator, until: Optional[int] = None) -> Any:
         """Convenience: drive ``generator`` as a process to completion.
 
-        Steps the simulation only until the process finishes (other
+        Runs the simulation only until the process finishes (other
         queued work — background daemons, periodic samplers — stays
         queued), returning the process return value.  Raises if the
         process fails, or if the queue drains / ``until`` passes first.
+        It is :meth:`run` plus a last callback on the process event that
+        raises a private stop exception out of the loop.
 
         Clock contract: on success ``now`` is the instant the process
         completed (pending events may remain queued).  On the failure
         paths with a deadline — the next event lies beyond ``until``,
         or the queue drains early — the clock is advanced to ``until``
-        before raising, matching :meth:`run`'s drain behaviour, so
-        ``now`` never sits behind a deadline that has already passed.
+        before raising, matching :meth:`run`, so ``now`` never sits
+        behind a deadline that has already passed.
         """
-        if self.profiler is not None:
-            return run_process_profiled(self, generator, until)
+        if until is not None and until < self._now:
+            raise ValueError("until lies in the past")
         proc = self.process(generator)
-        queue = self._queue
-        pop = heapq.heappop
-        record_orphan = self._record_orphan_failure
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
-        while not proc._processed and queue:
-            if until is not None and queue[0][0] > until:
-                break
-            when, _seq, event = pop(queue)
-            if event._cancelled:
-                continue
-            self._now = when
-            self._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
-            event._processed = True
-            callbacks, event.callbacks = event.callbacks, None
-            if not event._ok and not callbacks:
-                record_orphan(event)
-            for callback in callbacks:
-                callback(event)
+        # the process is private to this call and observers saw it at
+        # construction, so the stop runs after every other callback
+        proc.callbacks.append(_stop_run)
+        try:
+            self.run(until)
+        except _StopRun:
+            pass
+        finally:
+            if not proc._processed:  # leave no stop behind for a later run
+                proc.callbacks.remove(_stop_run)
         if not proc._processed:
-            if until is not None and self._now < until:
-                self._now = until
             self.check_orphan_failures()
             error = RuntimeError("process did not complete"
                                  + ("" if until is None

@@ -105,8 +105,8 @@ class Event:
             self.callbacks.append(callback)
 
     def _process(self) -> None:
-        # NOTE: the simulator inlines this body in its run loops; keep the
-        # two in sync (engine.step / engine.run / engine.run_process).
+        # NOTE: Simulator.run inlines this body in its plain loop;
+        # tests/test_sim_differential.py holds the two to one behaviour.
         self._processed = True
         callbacks, self.callbacks = self.callbacks, None
         if not self._ok and not callbacks:
@@ -164,10 +164,9 @@ class Timeout(Event):
         if self._cancelled:
             # double cancel: two owners think they hold this timer —
             # benign for the schedule (tombstoning is idempotent) but
-            # worth surfacing when the sanitizer is watching
-            sanitizer = getattr(self.sim, "sanitizer", None)
-            if sanitizer is not None:
-                sanitizer.on_double_cancel(self)
+            # worth surfacing to observers such as the sanitizer
+            for observer in self.sim.observers:
+                observer.on_double_cancel(self)
         self._cancelled = True
 
 

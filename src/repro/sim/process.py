@@ -37,9 +37,8 @@ class Process(Event):
         bootstrap.callbacks.append(self._resume)
         bootstrap._triggered = True
         heappush(sim._queue, (sim._now, next(sim._sequence), bootstrap))
-        sanitizer = getattr(sim, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.watch_process(self)
+        for observer in sim.observers:
+            observer.watch_process(self)
 
     @property
     def is_alive(self) -> bool:

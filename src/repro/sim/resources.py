@@ -33,9 +33,8 @@ class Resource:
         # busy-time accounting for utilization reports
         self._busy_since: Optional[int] = None
         self._busy_time: int = 0
-        sanitizer = getattr(sim, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.watch_resource(self)
+        for observer in sim.observers:
+            observer.watch_resource(self)
 
     @property
     def in_use(self) -> int:

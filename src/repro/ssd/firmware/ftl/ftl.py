@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.instructions import InstructionMix
-from repro.obs.tracer import NULL_SPAN_CONTEXT
 from repro.sim import Resource
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 from repro.ssd.computation.cores import CpuComplex
 from repro.ssd.computation.dram import InternalDram
 from repro.ssd.config import SSDConfig

@@ -13,9 +13,9 @@ from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional
 
 from repro.common.instructions import InstructionMix
-from repro.obs.tracer import NULL_SPAN_CONTEXT
 from repro.common.iorequest import IOKind
 from repro.sim import AllOf
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 from repro.ssd.computation.cores import CpuComplex
 from repro.ssd.config import SSDConfig
 from repro.ssd.firmware.arbiter import make_arbiter

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, observe
 from repro.ssd.config import (
     CacheConfig,
     CoreConfig,
@@ -34,6 +34,18 @@ def tiny_ssd_config(**overrides) -> SSDConfig:
     )
     base.update(overrides)
     return SSDConfig(**base)
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_construction_hooks():
+    """Fail a test that leaves an ``enable_*`` switch armed: every such
+    switch installs a construction hook in :mod:`repro.sim.observe`."""
+    before = observe.hooks()
+    yield
+    leaked = [hook for hook in observe.hooks() if hook not in before]
+    for hook in leaked:
+        observe.remove_hook(hook)
+    assert not leaked, f"test left construction hooks installed: {leaked}"
 
 
 @pytest.fixture

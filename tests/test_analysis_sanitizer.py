@@ -38,25 +38,30 @@ def _kinds(violations):
     return [v.kind for v in violations]
 
 
+def _sanitizer(sim):
+    """The sanitizer the armed switch attached to ``sim``."""
+    [sanitizer] = [s for s in sanitizers() if s.sim is sim]
+    return sanitizer
+
+
 # -- arming -------------------------------------------------------------------
 
 class TestArming:
     def test_off_by_default(self):
         assert not sanitizer_enabled()
-        assert Simulator().sanitizer is None
+        assert Simulator().observers == []
 
     def test_enable_attaches_to_new_simulators(self):
         enable_sanitizer()
         sim = Simulator()
-        assert sim.sanitizer is not None
-        assert sim.sanitizer.sim is sim
-        assert sim.sanitizer in sanitizers()
+        assert sanitizers()[0].sim is sim
+        assert sim.observers == sanitizers()
 
     def test_disable_detaches_and_forgets(self):
         enable_sanitizer()
         Simulator()
         disable_sanitizer()
-        assert Simulator().sanitizer is None
+        assert Simulator().observers == []
         assert sanitizers() == []
 
     def test_env_var_arms_a_fresh_process(self):
@@ -65,8 +70,7 @@ class TestArming:
         proc = subprocess.run(
             [sys.executable, "-c",
              "from repro.sim import Simulator; "
-             "raise SystemExit(0 if Simulator().sanitizer is not None "
-             "else 1)"],
+             "raise SystemExit(0 if Simulator().observers else 1)"],
             env=env, timeout=120)
         assert proc.returncode == 0
 
@@ -85,8 +89,8 @@ class TestViolations:
         ghost._triggered = True
         heappush(sim._queue, (5, next(sim._sequence), ghost))
         sim.run()
-        assert _kinds(sim.sanitizer.violations) == ["causality"]
-        assert "scheduled into the past" in sim.sanitizer.violations[0].detail
+        assert _kinds(_sanitizer(sim).violations) == ["causality"]
+        assert "scheduled into the past" in _sanitizer(sim).violations[0].detail
 
     def test_clean_run_records_nothing(self):
         enable_sanitizer()
@@ -103,8 +107,8 @@ class TestViolations:
         sim.process(worker(gate))
         sim.process(worker(gate))
         sim.run()
-        assert sim.sanitizer.violations == []
-        sim.sanitizer.check()  # no raise
+        assert _sanitizer(sim).violations == []
+        _sanitizer(sim).check()  # no raise
 
     def test_leaked_token_and_stuck_waiter_at_drain(self):
         enable_sanitizer()
@@ -121,7 +125,7 @@ class TestViolations:
         sim.process(hog())
         sim.process(starved())
         sim.run()
-        kinds = _kinds(sim.sanitizer.violations)
+        kinds = _kinds(_sanitizer(sim).violations)
         assert "leaked-token" in kinds
         assert "stuck-waiter" in kinds
         assert "stuck-process" in kinds  # starved() never finished
@@ -135,7 +139,31 @@ class TestViolations:
 
         sim.process(waiter())
         sim.run()
-        assert _kinds(sim.sanitizer.violations) == ["stuck-process"]
+        assert _kinds(_sanitizer(sim).violations) == ["stuck-process"]
+
+    def test_run_process_deadlock_runs_the_drain_audit(self, tmp_path):
+        """A `run_process` whose queue drains first is a true drain too:
+        the audit runs, and its findings reach the post-mortem."""
+        enable_sanitizer(dump_dir=str(tmp_path))
+        sim = Simulator()
+        gate = Resource(sim, capacity=1, name="gate")
+
+        def holder():
+            yield gate.acquire()
+            yield Event(sim)  # keeps the token forever
+
+        def waiter():
+            yield gate.acquire()  # never granted
+
+        sim.process(holder())
+        with pytest.raises(RuntimeError, match="did not complete"):
+            sim.run_process(waiter())
+        assert _kinds(_sanitizer(sim).violations) == [
+            "leaked-token", "stuck-waiter", "stuck-process", "stuck-process"]
+        [dump] = tmp_path.glob("sanitizer-*.json")
+        doc = json.loads(dump.read_text())
+        assert [v["kind"] for v in doc["violations"]] == [
+            "leaked-token", "stuck-waiter", "stuck-process", "stuck-process"]
 
     def test_deadline_cut_run_skips_the_drain_audit(self):
         """`run(until=...)` is not a drain: held tokens are legitimate."""
@@ -152,7 +180,7 @@ class TestViolations:
 
         sim.process(worker())
         sim.run(until=50)  # mid-hold; not a leak
-        assert sim.sanitizer.violations == []
+        assert _sanitizer(sim).violations == []
 
     def test_double_cancel_detected(self):
         enable_sanitizer()
@@ -160,8 +188,8 @@ class TestViolations:
         timer = sim.timeout(5)
         timer.cancel()
         timer.cancel()
-        assert _kinds(sim.sanitizer.violations) == ["double-cancel"]
-        assert all_violations() == sim.sanitizer.violations
+        assert _kinds(_sanitizer(sim).violations) == ["double-cancel"]
+        assert all_violations() == _sanitizer(sim).violations
 
     def test_single_cancel_is_fine(self):
         enable_sanitizer()
@@ -170,7 +198,7 @@ class TestViolations:
         timer = sim.timeout(5)
         timer.cancel()
         sim.run()
-        assert sim.sanitizer.violations == []
+        assert _sanitizer(sim).violations == []
 
 
 # -- reporting and dumps ------------------------------------------------------
@@ -183,7 +211,7 @@ class TestReporting:
         timer.cancel()
         timer.cancel()
         with pytest.raises(SanitizerError, match="double-cancel"):
-            sim.sanitizer.check()
+            _sanitizer(sim).check()
 
     def test_check_dumps_a_post_mortem(self, tmp_path):
         enable_sanitizer(dump_dir=str(tmp_path))
@@ -192,12 +220,12 @@ class TestReporting:
         timer.cancel()
         timer.cancel()
         with pytest.raises(SanitizerError):
-            sim.sanitizer.check()
+            _sanitizer(sim).check()
         dumps = list(tmp_path.glob("sanitizer-*.json"))
         assert len(dumps) == 1
         doc = json.loads(dumps[0].read_text())
         assert doc["violations"][0]["kind"] == "double-cancel"
-        assert sim.sanitizer.dumped_to == str(dumps[0])
+        assert _sanitizer(sim).dumped_to == str(dumps[0])
 
     def test_run_failure_dumps_through_the_sanitizer(self, tmp_path):
         enable_sanitizer(dump_dir=str(tmp_path))
@@ -218,11 +246,11 @@ class TestReporting:
     def test_report_summarizes(self):
         enable_sanitizer()
         sim = Simulator()
-        assert "no violations" in sim.sanitizer.report()
+        assert "no violations" in _sanitizer(sim).report()
         timer = sim.timeout(5)
         timer.cancel()
         timer.cancel()
-        assert "1 violation(s)" in sim.sanitizer.report()
+        assert "1 violation(s)" in _sanitizer(sim).report()
 
 
 # -- determinism pins ---------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.common.histogram import LogHistogram
 from repro.fleet import (
     ResultStore,
     SCENARIOS,
@@ -28,7 +29,6 @@ from repro.fleet import (
     run_sweep,
     sweep_status,
 )
-from repro.obs.histogram import LogHistogram
 
 #: the smoke4 job CI also runs — any drift in the hash scheme (key
 #: canonicalization, separators, digest choice) invalidates every

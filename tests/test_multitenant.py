@@ -17,8 +17,17 @@ import random
 
 import pytest
 
+from repro.common.histogram import LogHistogram
 from repro.common.recorders import LatencyRecorder
 from repro.common.stats import jain_fairness
+from repro.core.arrivals import (
+    ARRIVAL_KINDS,
+    BurstyArrivals,
+    DiurnalArrivals,
+    PoissonArrivals,
+    ZipfianHotspot,
+    arrival_from_spec,
+)
 from repro.core.system import FullSystem
 from repro.core.tenants import (
     MultiTenantEngine,
@@ -28,15 +37,6 @@ from repro.core.tenants import (
 )
 from repro.experiments.golden import digest
 from repro.interfaces.nvme.structures import Namespace
-from repro.obs.histogram import LogHistogram
-from repro.workloads.synthetic import (
-    ARRIVAL_KINDS,
-    BurstyArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-    ZipfianHotspot,
-    arrival_from_spec,
-)
 
 from tests.conftest import tiny_ssd_config
 

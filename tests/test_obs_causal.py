@@ -32,7 +32,7 @@ from repro.obs.diff import (
     render_explain_markdown,
     write_explain_report,
 )
-from repro.obs.tracer import Tracer
+from repro.sim.tracer import Tracer
 
 
 class _Clock:

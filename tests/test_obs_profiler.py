@@ -18,13 +18,12 @@ from repro.obs.profiler import (
     disable_profiling,
     enable_profiling,
     hottest_layers,
-    profiler_for,
     profilers,
     profiling_enabled,
     write_profile,
     write_profile_trace,
 )
-from repro.sim import Simulator
+from repro.sim import Simulator, observe
 
 
 @pytest.fixture(autouse=True)
@@ -51,15 +50,15 @@ def _pingpong(sim, rounds=50):
 class TestSwitch:
     def test_off_by_default(self):
         assert not profiling_enabled()
-        assert Simulator().profiler is None
+        Simulator()
         assert profilers() == []
 
     def test_enable_arms_new_simulators(self):
         enable_profiling()
         assert profiling_enabled()
         sim = Simulator()
-        assert isinstance(sim.profiler, WallProfiler)
-        assert profilers() == [sim.profiler]
+        assert len(profilers()) == 1
+        assert profilers()[0] in sim.observers
 
     def test_disable_drops_collected_profilers(self):
         enable_profiling()
@@ -67,12 +66,16 @@ class TestSwitch:
         disable_profiling()
         assert not profiling_enabled()
         assert profilers() == []
-        assert Simulator().profiler is None
+        Simulator()
+        assert profilers() == []
 
-    def test_profiler_for_is_the_factory(self):
-        assert profiler_for(object()) is None
+    def test_enable_installs_one_construction_hook(self):
+        before = len(observe.hooks())
         enable_profiling()
-        assert isinstance(profiler_for(object()), WallProfiler)
+        enable_profiling()
+        assert len(observe.hooks()) == before + 1
+        Simulator()
+        assert len(profilers()) == 1
 
     def test_max_slices_must_be_positive(self):
         with pytest.raises(ValueError, match="max_slices"):

@@ -17,7 +17,7 @@ from repro.obs import (
     disable_tracing,
     enable_telemetry,
     enable_tracing,
-    probe_for,
+    probe_of,
     probes,
     sparkline,
     telemetry_enabled,
@@ -190,15 +190,14 @@ def _busy_process(sim, rounds=200):
 class TestEpochSampler:
     def test_probe_absent_when_disabled(self):
         assert not telemetry_enabled()
-        assert Simulator().telemetry is None
-        assert probe_for(Simulator()) is None
+        assert probe_of(Simulator()) is None
 
     def test_samples_builtin_series(self):
         enable_telemetry(epoch_ns=50)
         sim = Simulator()
-        assert sim.telemetry is not None
+        assert probe_of(sim) is not None
         sim.run_process(_busy_process(sim))
-        probe = sim.telemetry
+        probe = probe_of(sim)
         assert probe.epochs_sampled > 5
         assert "sim.events_processed" in probe.series
         counts = probe.series["sim.events_processed"].values()
@@ -208,7 +207,7 @@ class TestEpochSampler:
         enable_telemetry(epoch_ns=64)
         sim = Simulator()
         sim.run_process(_busy_process(sim))
-        for t, _v in sim.telemetry.series["sim.events_processed"].points():
+        for t, _v in probe_of(sim).series["sim.events_processed"].points():
             assert t % 64 == 0
 
     def test_identical_runs_produce_identical_series(self):
@@ -217,7 +216,7 @@ class TestEpochSampler:
             sim = Simulator()
             sim.run_process(_busy_process(sim))
             series = {name: ts.points()
-                      for name, ts in sim.telemetry.series.items()}
+                      for name, ts in probe_of(sim).series.items()}
             disable_telemetry()
             return series
         assert run_once() == run_once()
@@ -295,7 +294,7 @@ class TestFlightRecorder:
         assert "on fire" in doc["error"]["message"]
         assert doc["sim"]["now_ns"] == 120
         assert doc["recent_events"]          # the ring made it out
-        assert sim.telemetry.flight.dumped_to == str(dumps[0])
+        assert probe_of(sim).flight.dumped_to == str(dumps[0])
 
     def test_dump_on_deadline_miss(self, tmp_path):
         enable_telemetry(dump_dir=str(tmp_path))
@@ -312,8 +311,8 @@ class TestFlightRecorder:
         enable_telemetry(dump_dir=str(tmp_path))
         for _ in range(2):
             sim = Simulator()
-            sim.telemetry.label = "same"
-            sim.telemetry.flight.label = "same"
+            probe_of(sim).label = "same"
+            probe_of(sim).flight.label = "same"
 
             def boom():
                 raise ValueError("x")

@@ -66,6 +66,60 @@ class TestEventLoop:
         with pytest.raises(ValueError):
             sim.run(until=5)
 
+    def test_run_process_past_deadline_rejected_like_run(self, sim):
+        """Both entry points validate ``until`` first: same ValueError,
+        and ``run_process`` registers no process."""
+        sim.run(until=100)
+
+        def never_started():
+            yield sim.timeout(1)
+
+        with pytest.raises(ValueError, match="until lies in the past"):
+            sim.run_process(never_started(), until=50)
+        assert sim.peek() is None
+        assert sim.now == 100
+
+    def test_run_process_leaves_later_work_queued(self, sim):
+        """Completion stops the run at that instant; the stop callback
+        does not linger to break a later ``run``."""
+        fired = []
+        sim.schedule(50, fired.append, "late")
+
+        def quick():
+            yield sim.timeout(10)
+            return "done"
+
+        assert sim.run_process(quick()) == "done"
+        assert sim.now == 10 and fired == []
+        sim.run()
+        assert fired == ["late"] and sim.now == 50
+
+    def test_missed_deadline_leaves_a_resumable_process(self, sim):
+        def slow():
+            yield sim.timeout(100)
+            return "late"
+
+        with pytest.raises(RuntimeError, match="deadline"):
+            sim.run_process(slow(), until=10)
+        assert sim.now == 10
+        sim.run()  # the process finishes without stopping this run
+        assert sim.now == 100
+
+    def test_error_out_of_run_process_leaves_a_resumable_process(self, sim):
+        def victim():
+            yield sim.timeout(5)  # no handler: an interrupt escapes run
+            yield sim.timeout(100)
+
+        def main():
+            yield sim.timeout(200)
+
+        proc = sim.process(victim())
+        sim.schedule(1, proc.interrupt)
+        with pytest.raises(RuntimeError, match="uncaught Interrupt"):
+            sim.run_process(main())
+        sim.run()  # main finishes without stopping this run
+        assert sim.now == 200
+
     def test_events_processed_counter(self, sim):
         for _ in range(7):
             sim.schedule(1, lambda: None)
