@@ -1,17 +1,13 @@
-"""Analysis tools: result rendering, simlint, and the runtime sanitizer.
+"""The simulation-safety toolchain (docs/ANALYSIS.md).
 
-Two halves live here:
-
-* result-side utilities used by the experiments (``tables``,
-  ``featurematrix``);
-* the simulation-safety toolchain (docs/ANALYSIS.md): **simlint**, an
-  AST linter encoding the simulator's determinism/resource invariants
-  (``python -m repro.analysis lint``), and **SimSanitizer**, the opt-in
-  observe-only runtime checker (``REPRO_SANITIZE=1`` or
-  :func:`enable_sanitizer`).
+**simlint**, an AST linter encoding the simulator's determinism and
+resource invariants (``python -m repro.analysis lint``), and
+**SimSanitizer**, the opt-in observe-only runtime checker
+(``REPRO_SANITIZE=1`` or :func:`enable_sanitizer`).  Result rendering
+lives with the experiments (:mod:`repro.experiments.formatting`,
+:mod:`repro.experiments.featurematrix`).
 """
 
-from repro.analysis.featurematrix import FEATURES, SIMULATOR_FEATURES, feature_table
 from repro.analysis.findings import Finding, FindingSet
 from repro.analysis.registry import all_rules, lint_paths, lint_source
 from repro.analysis.sanitizer import (
@@ -24,11 +20,8 @@ from repro.analysis.sanitizer import (
     sanitizer_enabled,
     sanitizers,
 )
-from repro.analysis.tables import format_series, format_table
 
 __all__ = [
-    "format_table", "format_series", "FEATURES",
-    "SIMULATOR_FEATURES", "feature_table",
     "Finding", "FindingSet", "all_rules", "lint_paths", "lint_source",
     "SimSanitizer", "SanitizerError", "Violation",
     "enable_sanitizer", "disable_sanitizer", "sanitizer_enabled",

@@ -106,10 +106,9 @@ def check_wallclock(src: SourceFile) -> Iterator[Site]:
 # -- SIM110: wall-clock containment -------------------------------------------
 
 #: path fragments of the modules designated to read the wall clock:
-#: benchmarking, the self-profiler, the run journal, worker lifecycle
-#: stamps and trace replay.  Checked against "/"-normalized paths.
+#: the self-profiler, the run journal, worker lifecycle stamps and trace
+#: replay.  Checked against "/"-normalized paths.
 _WALLCLOCK_MODULES = (
-    "repro/bench/",
     "repro/obs/profiler",
     "repro/obs/journal",
     "repro/fleet/runner",
@@ -125,12 +124,12 @@ def _in_wallclock_module(path: str) -> bool:
 
 @rule("SIM110", "wall-clock-containment",
       "Wall-clock reads are only legal in the designated profiling "
-      "modules (repro.bench, repro.obs.profiler, repro.obs.journal, "
+      "modules (repro.obs.profiler, repro.obs.journal, "
       "repro.fleet.runner, repro.baselines.replay), whose outputs are "
       "declared wall-clock-tainted side artifacts. Anywhere else, even "
       "a *suppressed* SIM101 read is a containment leak: route it "
       "through repro.obs.journal.wall_now or move the code into a "
-      "designated module, so `grep` over five files audits every clock "
+      "designated module, so `grep` over four files audits every clock "
       "in the tree.")
 def check_wallclock_containment(src: SourceFile) -> Iterator[Site]:
     if _in_wallclock_module(src.path):

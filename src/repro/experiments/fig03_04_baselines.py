@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_series
 from repro.baselines.models import (
     FlashSimModel,
     MQSimModel,
@@ -22,6 +21,7 @@ from repro.baselines.reference import reference_at
 from repro.baselines.replay import ClosedLoopReplayer
 from repro.core import presets
 from repro.experiments.common import FULL_DEPTHS, QUICK_DEPTHS
+from repro.experiments.formatting import format_series
 from repro.workloads.synthetic import PATTERN_RW
 
 SIMULATORS = {

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_series, format_table
 from repro.baselines.reference import REAL_DEVICES, accuracy, reference_at
 from repro.experiments.common import (
     FULL_DEPTHS,
@@ -19,6 +18,7 @@ from repro.experiments.common import (
     build_system,
     run_pattern,
 )
+from repro.experiments.formatting import format_series, format_table
 from repro.workloads.synthetic import PATTERN_RW
 
 

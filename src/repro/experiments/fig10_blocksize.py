@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis.tables import format_series, format_table
 from repro.baselines.reference import REAL_DEVICES, error_rate, reference_at
 from repro.common.units import KB
 from repro.core import presets
 from repro.core.system import FullSystem
 from repro.experiments.common import DEVICE_INTERFACES, run_pattern
+from repro.experiments.formatting import format_series, format_table
 from repro.ssd.config import CacheConfig
 from repro.workloads.synthetic import PATTERN_RW
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_series
 from repro.common.units import KB
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
+from repro.experiments.formatting import format_series
 from repro.ssd.config import (
     CacheConfig,
     CoreConfig,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_table
 from repro.core import presets
 from repro.core.system import FullSystem
+from repro.experiments.formatting import format_table
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS
 from repro.workloads.runner import EnterpriseRunner
 

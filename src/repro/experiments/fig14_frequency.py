@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_series
 from repro.common.units import GHZ, SEC
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
+from repro.experiments.formatting import format_series
 from repro.host.cpu import CpuModel
 from repro.host.platform import pc_platform
 from repro.sim import Simulator

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.analysis.tables import format_table
 from repro.common.units import KB, MB
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
+from repro.experiments.formatting import format_table
 
 SIZES = [4 * KB, 64 * KB]
 PATTERNS = ["randread", "randwrite", "read", "write"]

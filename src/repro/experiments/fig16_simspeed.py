@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from typing import Dict
 
-from repro.analysis.tables import format_table
 from repro.baselines.models import (
     FlashSimModel,
     MQSimModel,
@@ -25,6 +24,7 @@ from repro.common.iorequest import IOKind
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
+from repro.experiments.formatting import format_table
 from repro.sim import Simulator
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand

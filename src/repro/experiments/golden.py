@@ -23,13 +23,14 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict
 
 from repro.common.units import KB
 
 #: result keys that legitimately differ run-to-run (never hashed)
-VOLATILE_KEYS = {"wall_seconds", "events_per_sec"}
+VOLATILE_KEYS = {"wall_seconds"}
 
 DEFAULT_DIR = Path("tests") / "golden"
 
@@ -129,8 +130,8 @@ def _multi_tenant_noisy():
 
 def _perf_scenarios():
     """The benchmark scenarios' deterministic facts at smoke size."""
-    from repro.bench.scenarios import SCENARIOS
-    return {name: runner("smoke").to_dict()
+    from repro.experiments.perf_scenarios import SCENARIOS
+    return {name: asdict(runner("smoke"))
             for name, runner in SCENARIOS.items()}
 
 

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.tables import format_series
 from repro.common.units import KB
 from repro.core.system import FullSystem
 from repro.core.tenants import MultiTenantJob, TenantSpec
+from repro.experiments.formatting import format_series
 from repro.ssd.config import (
     CacheConfig,
     CoreConfig,

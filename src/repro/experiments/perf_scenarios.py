@@ -1,10 +1,10 @@
-"""The pinned benchmark scenarios.
+"""The pinned perf scenarios and their deterministic facts.
 
 Three calibrated workloads, smallest to largest:
 
 * ``kernel_churn`` — the discrete-event kernel alone: processes trading
   timeouts, semaphores, stores and ``AllOf``/``AnyOf`` fan-ins, with no
-  SSD model attached.  Measures raw events/second.
+  SSD model attached.
 * ``randread_nvme`` — the paper's Figure 16 macro point: 4 KB random
   reads at queue depth 16 through the full system (syscall → block
   layer → NVMe driver → PCIe DMA → HIL/ICL/FTL/FIL → flash).
@@ -12,70 +12,36 @@ Three calibrated workloads, smallest to largest:
   past its capacity so garbage collection runs hot; exercises the
   allocator, GC victim selection and erase/migration paths.
 
-Every scenario is deterministic: the same profile always produces the
-same ``events`` and ``sim_ns``, which the golden tests pin.  Only
-``wall_seconds`` varies run to run.
+Every scenario is deterministic: the same profile (``smoke`` or
+``full``) always produces the same ``events`` and ``sim_ns``, which the
+``perf_scenarios`` golden case pins.  Nothing here reads the wall
+clock; simulator speed is measured by ``simbench/`` (``python3
+simbench/run.py``), whose workloads share these scenarios' names.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.common.units import KB
 from repro.sim import AllOf, AnyOf, Resource, Simulator, Store
 
-#: per-scenario size knobs for the two recording profiles
-PROFILES = ("smoke", "full")
 
-
-@dataclass
-class ScenarioResult:
-    """One scenario run: wall-clock speed plus deterministic facts."""
+@dataclass(frozen=True)
+class ScenarioFacts:
+    """One scenario run's deterministic facts."""
 
     name: str
     profile: str
-    wall_seconds: float
     events: int
     sim_ns: int
     extra: Dict[str, float]
 
-    @property
-    def events_per_sec(self) -> float:
-        """Processed events per wall-clock second (headline speed)."""
-        return self.events / self.wall_seconds if self.wall_seconds else 0.0
-
-    def to_dict(self) -> Dict:
-        out = asdict(self)
-        out["events_per_sec"] = round(self.events_per_sec, 1)
-        return out
-
-    # Streaming latency summary attached by the macro scenarios.
-    # Deliberately a plain class attribute, NOT a dataclass field:
-    # ``to_dict()`` is pinned by tests/golden and must not change shape;
-    # ``record.run_all`` merges this into the BENCH document instead.
-    latency = None
-
-
-def _latency_summary(recorder) -> Dict[str, float]:
-    """End-to-end latency percentiles in µs for the BENCH record.
-
-    p50/p99 come from the recorder's streaming log-bucketed histogram
-    (±6.25% bucket error); mean and the sample count are exact.
-    """
-    if recorder.count == 0:
-        return {}
-    p50, p99 = recorder.histogram.percentiles([50, 99])
-    return {"mean_us": round(recorder.mean() / 1000.0, 3),
-            "p50_us": round(p50 / 1000.0, 3),
-            "p99_us": round(p99 / 1000.0, 3),
-            "samples": recorder.count}
-
 
 # -- micro: kernel-only churn --------------------------------------------------
 
-def kernel_churn(profile: str = "full") -> ScenarioResult:
+def kernel_churn(profile: str = "full") -> ScenarioFacts:
     """Pure simulation-kernel stress: no SSD model, just event traffic."""
     n_workers, n_rounds = {"smoke": (16, 60), "full": (64, 400)}[profile]
     sim = Simulator()
@@ -104,16 +70,14 @@ def kernel_churn(profile: str = "full") -> ScenarioResult:
         sim.process(worker(i))
     sim.process(drain(n_workers * n_rounds))
 
-    wall0 = time.perf_counter()  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
     sim.run()
-    wall = time.perf_counter() - wall0  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
-    return ScenarioResult("kernel_churn", profile, wall,
-                          sim.events_processed, sim.now, {})
+    return ScenarioFacts("kernel_churn", profile,
+                         sim.events_processed, sim.now, {})
 
 
 # -- macro: 4K random read over NVMe ------------------------------------------
 
-def randread_nvme(profile: str = "full") -> ScenarioResult:
+def randread_nvme(profile: str = "full") -> ScenarioFacts:
     """Figure 16's full-system point: 4K randread qd16 on intel750/NVMe."""
     from repro.core import presets
     from repro.core.fio import FioJob
@@ -122,18 +86,14 @@ def randread_nvme(profile: str = "full") -> ScenarioResult:
     n_ios = {"smoke": 300, "full": 3000}[profile]
     system = FullSystem(device=presets.intel750(), interface="nvme")
     system.precondition()
-    wall0 = time.perf_counter()  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
     res = system.run_fio(FioJob(rw="randread", bs=4096, iodepth=16,
                                 total_ios=n_ios))
-    wall = time.perf_counter() - wall0  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
-    result = ScenarioResult(
-        "randread_nvme", profile, wall,
+    return ScenarioFacts(
+        "randread_nvme", profile,
         system.sim.events_processed, system.sim.now,
         {"iops": round(res.iops, 1),
          "bandwidth_mbps": round(res.bandwidth_mbps, 3),
          "n_ios": n_ios})
-    result.latency = _latency_summary(res.latency)
-    return result
 
 
 # -- macro: GC-heavy write storm ----------------------------------------------
@@ -166,7 +126,7 @@ def _storm_config():
     )
 
 
-def write_storm_gc(profile: str = "full") -> ScenarioResult:
+def write_storm_gc(profile: str = "full") -> ScenarioFacts:
     """Random-write a low-OP device past capacity; GC dominates."""
     from repro.core.fio import FioJob
     from repro.core.system import FullSystem
@@ -176,24 +136,20 @@ def write_storm_gc(profile: str = "full") -> ScenarioResult:
     system.precondition()
     capacity = system.device_sectors * 512
     n_ios = max(50, int(capacity * multiplier) // 4096)
-    wall0 = time.perf_counter()  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
     res = system.run_fio(FioJob(rw="randwrite", bs=4096, iodepth=16,
                                 total_ios=n_ios, warmup_fraction=0.5))
-    wall = time.perf_counter() - wall0  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
-    result = ScenarioResult(
-        "write_storm_gc", profile, wall,
+    return ScenarioFacts(
+        "write_storm_gc", profile,
         system.sim.events_processed, system.sim.now,
         {"iops": round(res.iops, 1),
          "gc_runs": res.ssd_stats["gc_runs"],
          "write_amplification": round(
              res.ssd_stats["write_amplification"], 6),
          "n_ios": n_ios})
-    result.latency = _latency_summary(res.latency)
-    return result
 
 
-#: name -> callable(profile) registry, in recording order
-SCENARIOS: Dict[str, Callable[[str], ScenarioResult]] = {
+#: name -> callable(profile) registry, in golden-payload order
+SCENARIOS: Dict[str, Callable[[str], ScenarioFacts]] = {
     "kernel_churn": kernel_churn,
     "randread_nvme": randread_nvme,
     "write_storm_gc": write_storm_gc,

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.featurematrix import feature_headers, feature_table
-from repro.analysis.tables import format_table
 from repro.core import presets
+from repro.experiments.featurematrix import feature_headers, feature_table
+from repro.experiments.formatting import format_table
 from repro.host.platform import mobile_platform, pc_platform
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS, EnterpriseGenerator
 

@@ -38,7 +38,7 @@ outside the simulated-time determinism contract): the **run journal**
 (:mod:`repro.obs.journal`) streams NDJSON lifecycle events beside a
 fleet result store for ``python -m repro.fleet watch``, and the
 **self-profiler** (:mod:`repro.obs.profiler`) attributes host wall time
-per layer (``--profile`` / ``--self-profile`` on the CLIs).  Both are
+per layer (``--profile`` on the CLIs).  Both are
 off by default and zero-cost when off, and neither ever perturbs
 simulated results.
 """

@@ -1,9 +1,9 @@
 """SIM110 fixture: wall-clock read outside the designated modules.
 
-This file stands in for ordinary simulation code (it is not under
-``repro/bench/``, ``repro/obs/profiler|journal``, ``repro/fleet/runner``
-or ``repro/baselines/replay``), so even a speed measurement must not
-read the host clock here — it belongs in a designated module.
+This file stands in for ordinary simulation code (it is not
+``repro/obs/profiler|journal``, ``repro/fleet/runner`` or
+``repro/baselines/replay``), so even a speed measurement must not read
+the host clock here — it belongs in a designated module.
 """
 
 import time

@@ -1,24 +1,24 @@
-"""Direct units for the analysis support modules: findings /
-suppression parsing, ASCII table rendering, and the Table IV feature
-matrix (docs/ANALYSIS.md).
+"""Direct units for simlint's findings / suppression parsing
+(docs/ANALYSIS.md), plus the experiments' ASCII table rendering and the
+Table IV feature matrix.
 """
 
 import textwrap
 
-from repro.analysis.featurematrix import (
-    FEATURES,
-    SIMULATOR_FEATURES,
-    amber_feature_count,
-    feature_headers,
-    feature_table,
-)
 from repro.analysis.findings import (
     Finding,
     FindingSet,
     Suppression,
     parse_suppressions,
 )
-from repro.analysis.tables import format_series, format_table
+from repro.experiments.featurematrix import (
+    FEATURES,
+    SIMULATOR_FEATURES,
+    amber_feature_count,
+    feature_headers,
+    feature_table,
+)
+from repro.experiments.formatting import format_series, format_table
 
 
 # -- parse_suppressions -------------------------------------------------------

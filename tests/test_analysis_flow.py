@@ -205,11 +205,11 @@ class TestTaint:
 
     def test_direct_same_function_store_is_not_reported_twice(self):
         # the per-file rules own the intraprocedural case
-        findings = lint_source("repro/bench/direct.py", textwrap.dedent("""
+        findings = lint_source("repro/obs/profiler.py", textwrap.dedent("""
             import time
             class T:
                 def mark(self):
-                    self.t = time.time()  # simlint: disable=SIM101 -- bench
+                    self.t = time.time()  # simlint: disable=SIM101 -- profiler
         """))
         assert all(f.rule != "SIM210" for f in _unsup(findings))
 

@@ -19,6 +19,7 @@ import repro
 from repro.analysis import all_rules, lint_paths, lint_source
 from repro.analysis.findings import META_RULE, parse_suppressions
 from repro.analysis.registry import all_project_rules
+from repro.analysis.rules import _WALLCLOCK_MODULES
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
@@ -31,7 +32,7 @@ PROJECT_FIXTURE_RULES = ("SIM201", "SIM202", "SIM203", "SIM210", "SIM220")
 
 #: a path inside a designated wall-clock module (SIM110 allowlist), so
 #: suppression-semantics tests exercise SIM101/SIM100 in isolation
-_BENCH_PATH = "repro/bench/snippet.py"
+_WALLCLOCK_PATH = "repro/obs/journal.py"
 
 
 def _rule_ids(findings):
@@ -98,6 +99,16 @@ class TestFixturePairs:
         assert hits and all(f.witness for f in hits), \
             f"{rule_id} findings should explain themselves"
 
+    def test_wallclock_allowlist_names_existing_modules(self):
+        """A dead SIM110 allowlist entry silently exempts any future file
+        at that path, so every entry must name a module or package that
+        exists under ``src/repro``."""
+        src_root = Path(repro.__file__).parent.parent
+        for entry in _WALLCLOCK_MODULES:
+            path = src_root / entry.rstrip("/")
+            assert path.with_suffix(".py").is_file() \
+                or (path / "__init__.py").is_file(), entry
+
 
 # -- suppression semantics ----------------------------------------------------
 
@@ -106,7 +117,7 @@ class TestSuppressions:
         source = ("import time\n"
                   "wall = time.time()  "
                   "# simlint: disable=SIM101 -- measuring lint speed\n")
-        findings = lint_source(_BENCH_PATH, source)
+        findings = lint_source(_WALLCLOCK_PATH, source)
         assert _rule_ids(findings) == set()
         suppressed = [f for f in findings if f.suppressed]
         assert len(suppressed) == 1
@@ -116,26 +127,26 @@ class TestSuppressions:
     def test_bare_suppression_is_flagged_sim100(self):
         source = ("import time\n"
                   "wall = time.time()  # simlint: disable=SIM101\n")
-        findings = lint_source(_BENCH_PATH, source)
+        findings = lint_source(_WALLCLOCK_PATH, source)
         assert _rule_ids(findings) == {META_RULE}
 
     def test_useless_suppression_is_flagged_sim100(self):
         source = "x = 1  # simlint: disable=SIM101 -- nothing here\n"
-        findings = lint_source(_BENCH_PATH, source)
+        findings = lint_source(_WALLCLOCK_PATH, source)
         assert _rule_ids(findings) == {META_RULE}
         assert "useless suppression" in findings[0].message
 
     def test_sim100_itself_cannot_be_suppressed(self):
         source = ("import time\n"
                   "wall = time.time()  # simlint: disable=SIM101, SIM100\n")
-        findings = lint_source(_BENCH_PATH, source)
+        findings = lint_source(_WALLCLOCK_PATH, source)
         assert META_RULE in _rule_ids(findings)
 
     def test_multi_rule_suppression_covers_both(self):
         source = ("import time, random\n"
                   "x = time.time() + random.random()  "
                   "# simlint: disable=SIM101, SIM102 -- fixture\n")
-        findings = lint_source(_BENCH_PATH, source)
+        findings = lint_source(_WALLCLOCK_PATH, source)
         assert _rule_ids(findings) == set()
         assert {f.rule for f in findings if f.suppressed} == \
             {"SIM101", "SIM102"}
@@ -145,7 +156,7 @@ class TestSuppressions:
                   "import time\n"
                   "wall = time.time()\n")
         assert parse_suppressions(source) == {}
-        assert _rule_ids(lint_source(_BENCH_PATH, source)) == {"SIM101"}
+        assert _rule_ids(lint_source(_WALLCLOCK_PATH, source)) == {"SIM101"}
 
     def test_unparsable_file_reports_meta_finding(self):
         findings = lint_source("broken.py", "def oops(:\n")

@@ -263,7 +263,7 @@ def _recorded_perf():
 class TestDeterminismPins:
     def test_sanitized_run_is_bit_identical_to_plain(self):
         """The sanitizer observes only: golden facts are unchanged."""
-        from repro.bench.scenarios import kernel_churn, randread_nvme
+        from repro.experiments.perf_scenarios import kernel_churn, randread_nvme
         recorded = _recorded_perf()
         enable_sanitizer()
         churn = kernel_churn("smoke")
@@ -276,7 +276,7 @@ class TestDeterminismPins:
     def test_benchmarks_are_sanitizer_clean(self):
         """Regression for the kernel_churn gate leak: a full smoke pass
         over the pinned scenarios records zero violations."""
-        from repro.bench.scenarios import kernel_churn, randread_nvme
+        from repro.experiments.perf_scenarios import kernel_churn, randread_nvme
         enable_sanitizer()
         kernel_churn("smoke")
         randread_nvme("smoke")

@@ -12,7 +12,7 @@ from repro.analysis.baseline import Baseline
 
 PACKAGE_DIR = Path(repro.__file__).parent
 ENGINE = PACKAGE_DIR / "sim" / "engine.py"
-SCENARIOS = PACKAGE_DIR / "bench" / "scenarios.py"
+SCENARIOS = PACKAGE_DIR / "experiments" / "perf_scenarios.py"
 BACKEND = PACKAGE_DIR / "ssd" / "storage" / "backend.py"
 MODELS = PACKAGE_DIR / "baselines" / "models.py"
 

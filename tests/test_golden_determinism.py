@@ -109,7 +109,7 @@ class TestKernelPins:
 
     def test_scenario_events_and_sim_time_pinned(self):
         recorded = _load("perf_scenarios")["payload"]
-        from repro.bench.scenarios import SCENARIOS
+        from repro.experiments.perf_scenarios import SCENARIOS
         for name, runner in SCENARIOS.items():
             result = runner("smoke")
             assert result.events == recorded[name]["events"], name
@@ -117,7 +117,7 @@ class TestKernelPins:
 
     def test_simulator_is_rerun_stable(self):
         """The same scenario twice in one process: identical facts."""
-        from repro.bench.scenarios import kernel_churn
+        from repro.experiments.perf_scenarios import kernel_churn
         first = kernel_churn("smoke")
         second = kernel_churn("smoke")
         assert first.events == second.events

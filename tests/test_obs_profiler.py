@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.bench.scenarios import SCENARIOS
+from repro.experiments.perf_scenarios import SCENARIOS
 from repro.obs import profiler as profiler_mod
 from repro.obs.profiler import (
     WallProfiler,

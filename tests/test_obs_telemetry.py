@@ -239,7 +239,7 @@ def _recorded_perf():
 class TestDeterminismPins:
     def test_disabled_matches_committed_golden(self):
         """Telemetry off (the default): bit-identical to the seed facts."""
-        from repro.bench.scenarios import kernel_churn
+        from repro.experiments.perf_scenarios import kernel_churn
         recorded = _recorded_perf()["kernel_churn"]
         result = kernel_churn("smoke")
         assert result.events == recorded["events"]
@@ -251,7 +251,7 @@ class TestDeterminismPins:
         The probe only observes — it schedules no events — so even an
         aggressive epoch period leaves every simulated fact identical.
         """
-        from repro.bench.scenarios import kernel_churn, randread_nvme
+        from repro.experiments.perf_scenarios import kernel_churn, randread_nvme
         recorded = _recorded_perf()
         enable_tracing()
         enable_telemetry(epoch_ns=100)
@@ -338,7 +338,7 @@ class TestFlightRecorder:
 # -- report generation --------------------------------------------------------
 
 def _tiny_full_system_run():
-    from repro.bench.scenarios import _storm_config
+    from repro.experiments.perf_scenarios import _storm_config
     from repro.core.fio import FioJob
     from repro.core.system import FullSystem
 
@@ -402,25 +402,3 @@ class TestExperimentNameResolution:
         assert resolve_experiment("fig12_os_impact") == "fig12"
         assert resolve_experiment("fig16_simspeed") == "fig16"
         assert resolve_experiment("nope") is None
-
-
-# -- bench latency block ------------------------------------------------------
-
-class TestBenchLatencyBlock:
-    def test_scenario_to_dict_shape_unchanged(self):
-        """``to_dict`` is pinned by the perf golden; latency rides outside."""
-        from repro.bench.scenarios import ScenarioResult
-        result = ScenarioResult("x", "smoke", 0.5, 10, 100, {})
-        assert set(result.to_dict()) == {
-            "name", "profile", "wall_seconds", "events", "sim_ns",
-            "extra", "events_per_sec"}
-        assert result.latency is None
-
-    def test_run_all_merges_latency(self):
-        from repro.bench.record import run_all
-        results = run_all(profile="smoke", repeats=1,
-                          names=["randread_nvme"])
-        block = results["randread_nvme"]["latency"]
-        assert block["samples"] > 0
-        assert 0 < block["p50_us"] <= block["p99_us"]
-        assert block["mean_us"] > 0

@@ -2,13 +2,6 @@
 
 import pytest
 
-from repro.analysis.featurematrix import (
-    SIMULATOR_FEATURES,
-    amber_feature_count,
-    feature_headers,
-    feature_table,
-)
-from repro.analysis.tables import format_series, format_table
 from repro.baselines.models import (
     FlashSimModel,
     MQSimModel,
@@ -24,6 +17,13 @@ from repro.baselines.reference import (
 )
 from repro.baselines.replay import ClosedLoopReplayer
 from repro.core import presets
+from repro.experiments.featurematrix import (
+    SIMULATOR_FEATURES,
+    amber_feature_count,
+    feature_headers,
+    feature_table,
+)
+from repro.experiments.formatting import format_series, format_table
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS, EnterpriseGenerator
 from repro.workloads.synthetic import blocksize_sweep, depth_sweep, standard_patterns
 
