@@ -39,19 +39,20 @@ class _SlotState:
 
 
 class _CacheLine:
-    __slots__ = ("line_id", "slots", "flushing")
+    __slots__ = ("line_id", "slots", "flushing", "n_dirty")
 
     def __init__(self, line_id: int) -> None:
         self.line_id = line_id
         self.slots: Dict[int, _SlotState] = {}
         self.flushing = False
+        self.n_dirty = 0          # slots whose dirty flag is set
 
     def dirty_slots(self) -> List[int]:
         return [s for s, state in self.slots.items() if state.dirty]
 
     @property
     def is_dirty(self) -> bool:
-        return any(state.dirty for state in self.slots.values())
+        return self.n_dirty > 0
 
 
 class _LineLockTable:
@@ -99,6 +100,7 @@ class InternalCacheLayer:
         self.slots_per_line = config.superpage_pages
         self._full_mask = (1 << self.sectors_per_page) - 1
         self._lines: "OrderedDict[int, _CacheLine]" = OrderedDict()
+        self._dirty_lines = 0     # resident lines with a dirty slot
         self._locks = _LineLockTable(sim)
         self._lookup_mix = InstructionMix.typical(config.costs.icl_lookup)
         self._fill_mix = InstructionMix.typical(config.costs.icl_fill)
@@ -127,7 +129,28 @@ class InternalCacheLayer:
         return ((1 << count) - 1) << offset
 
     def dirty_line_count(self) -> int:
-        return sum(1 for line in self._lines.values() if line.is_dirty)
+        return self._dirty_lines
+
+    def _mark_slot(self, line: _CacheLine, state: _SlotState,
+                   dirty: bool) -> None:
+        """Set one slot's dirty flag, keeping both dirty counts."""
+        if state.dirty == dirty:
+            return
+        state.dirty = dirty
+        if dirty:
+            line.n_dirty += 1
+            if line.n_dirty == 1:
+                self._dirty_lines += 1
+        else:
+            line.n_dirty -= 1
+            if line.n_dirty == 0:
+                self._dirty_lines -= 1
+
+    def _drop_line(self, line_id: int) -> None:
+        """Make a line non-resident, keeping the dirty-line count."""
+        line = self._lines.pop(line_id, None)
+        if line is not None and line.n_dirty:
+            self._dirty_lines -= 1
 
     def cached_line_count(self) -> int:
         return len(self._lines)
@@ -168,6 +191,10 @@ class InternalCacheLayer:
         # lru/fifo: candidates follow the OrderedDict's recency/insertion
         # order, so the victim is simply the first clean non-flushing
         # line, falling back to the first non-flushing (dirty) one.
+        if self._dirty_lines == len(self._lines):
+            # every resident line is dirty: there is no clean one to find
+            return next((line for line in candidates if not line.flushing),
+                        None)
         first_evictable = None
         for line in candidates:
             if line.flushing:
@@ -203,7 +230,7 @@ class InternalCacheLayer:
                     state = line.slots.setdefault(slot, _SlotState())
                     mask = self._sector_mask(sec_off, sec_n)
                     state.sector_mask |= mask
-                    state.dirty = True
+                    self._mark_slot(line, state, True)
                     state.version += 1
                     if state.sector_mask == self._full_mask:
                         state.full = True
@@ -279,9 +306,11 @@ class InternalCacheLayer:
             line = self._lines.get(req.line_id)
             if line is not None:
                 for slot in req.page_sectors:
-                    line.slots.pop(slot, None)
+                    state = line.slots.pop(slot, None)
+                    if state is not None:
+                        self._mark_slot(line, state, False)
                 if not line.slots:
-                    self._lines.pop(req.line_id, None)
+                    self._drop_line(req.line_id)
             yield from self.ftl.trim(req.line_id, list(req.page_sectors),
                                      track=req.track)
         finally:
@@ -351,14 +380,19 @@ class InternalCacheLayer:
                     break
             victim = self._pick_victim(conflicts)
             if victim is not None and not victim.is_dirty:
-                self._lines.pop(victim.line_id, None)
+                self._drop_line(victim.line_id)
                 break
-            if (victim is not None and victim.is_dirty
-                    and self.config.cache.associativity != "full"):
-                # a narrow set: flush the conflicting victim directly
-                yield from self._flush_line(victim.line_id)
-                self._lines.pop(victim.line_id, None)
-                break
+            if victim is not None and not full_assoc:
+                # a narrow set: flush the dirty victim under its own lock,
+                # then choose again, since a write may have raced the flush.
+                # Deadlock-free: a line becomes resident only under its own
+                # lock, so a waiter here found its own line absent before
+                # it saw the victim resident, and the victim's holder, if
+                # it waits here too, found the victim absent later still.
+                # Those moments rise along any chain of waits, so no chain
+                # closes into a cycle.
+                yield from self._locked_flush(victim.line_id)
+                continue
             # all candidates dirty or mid-flush: lean on the daemon
             self._start_flush_daemon()
             if self._line_freed is None:
@@ -369,7 +403,11 @@ class InternalCacheLayer:
         return line
 
     def _flush_line(self, line_id: int):
-        """Process: write a line's dirty slots down to the FTL."""
+        """Process: write a line's dirty slots down to the FTL.
+
+        Callers go through ``_locked_flush``: the line's lock keeps a
+        concurrent trim from popping the slots this flush indexes.
+        """
         line = self._lines.get(line_id)
         if line is None or not line.is_dirty or line.flushing:
             return
@@ -422,8 +460,9 @@ class InternalCacheLayer:
                                                    partial=partial)
             for slot in flush_slots:
                 # a write that raced the flush keeps its dirty bit
-                if line.slots[slot].version == versions[slot]:
-                    line.slots[slot].dirty = False
+                state = line.slots[slot]
+                if state.version == versions[slot]:
+                    self._mark_slot(line, state, False)
             self.lines_flushed += 1
         finally:
             line.flushing = False

@@ -1,7 +1,7 @@
 """Fast smoke tests for the experiment drivers (full runs live in
 benchmarks/)."""
 
-from repro.experiments import fig03_04_baselines, tables
+from repro.experiments import fig03_04_baselines, fig16_simspeed, tables
 
 
 class TestTables:
@@ -38,3 +38,16 @@ class TestFig0304:
             for curve in per_sim.values():
                 for point in curve.values():
                     assert point["bandwidth_mbps"] > 0
+
+
+class TestFig16:
+    def test_full_system_costs_the_most_events(self):
+        # the ordering benchmarks/test_fig16.py asserts on the full run
+        sims = fig16_simspeed.run(quick=True)["simulators"]
+        full = sims["amber-fullsystem"]["events"]
+        assert full > sims["amber-standalone"]["events"]
+        for name in ("flashsim", "ssd-extension", "ssdsim", "mqsim"):
+            assert full > sims[name]["events"], name
+        for name, data in sims.items():
+            assert data["wall_seconds"] > 0, name
+            assert data["events"] > 0, name

@@ -25,7 +25,9 @@ class TestReadRetries:
         def scenario():
             yield from ssd.write(0, 4, data)
             yield from ssd.flush()
-            # evict so the read really hits flash
+            # evict so the read really hits flash; clearing bypasses the
+            # dirty-line count, so the cache must be clean
+            assert ssd.icl.dirty_line_count() == 0
             ssd.icl._lines.clear()
             got = yield from ssd.read(0, 4)
             return got
@@ -36,6 +38,7 @@ class TestReadRetries:
         # issue many more flash reads to observe retries statistically
         def more_reads():
             for i in range(50):
+                assert ssd.icl.dirty_line_count() == 0
                 ssd.icl._lines.clear()
                 yield from ssd.read(0, 4)
 

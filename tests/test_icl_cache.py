@@ -184,3 +184,30 @@ class TestPassThrough:
 
         sim.run_process(scenario())
         assert ssd.icl.rmw_fetches >= 1
+
+
+class TestNarrowSetEvictionRace:
+    def test_write_racing_a_conflict_flush_is_not_lost(self):
+        # line 4's write evicts dirty line 0 from its direct-mapped set;
+        # line 0 is rewritten while that flush is still programming flash
+        sim = Simulator()
+        ssd = SSD(sim, tiny_ssd_config(cache=CacheConfig(
+            associativity="direct", n_sets=4, readahead=False)),
+            data_emulation=True)
+        sectors = line_sectors(ssd)
+        page = ssd.config.geometry.page_size
+        old, new = b"\x11" * page, b"\x22" * page
+
+        def rewrite():
+            yield sim.timeout(1000)
+            yield from ssd.write(0, page // 512, new)
+
+        def scenario():
+            yield from ssd.write(0, page // 512, old)
+            evictor = sim.process(ssd.write(4 * sectors, page // 512))
+            racer = sim.process(rewrite())
+            yield sim.all_of([evictor, racer])
+            got = yield from ssd.read(0, page // 512)
+            return got
+
+        assert sim.run_process(scenario()) == new
