@@ -19,6 +19,7 @@ once, runs both rule families, applies the per-line suppressions from
 from __future__ import annotations
 
 import ast
+import functools
 import os
 from dataclasses import dataclass
 from typing import (
@@ -80,9 +81,15 @@ class SourceFile:
         return cls(path=path, source=source, tree=tree,
                    suppressions=parse_suppressions(source))
 
+    @functools.cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every AST node in ``ast.walk`` order, walked once per file:
+        each per-file rule iterates this instead of re-walking."""
+        return list(ast.walk(self.tree))
+
     def functions(self) -> Iterator[ast.AST]:
         """Every function/method definition, outermost first."""
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield node
 

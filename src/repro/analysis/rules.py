@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.registry import Site, SourceFile, rule
 
@@ -30,14 +30,15 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to the dotted thing they import.
+def _import_aliases(nodes: Iterable[ast.AST]) -> Dict[str, str]:
+    """Map local names to the dotted thing they import, given a
+    module's walked nodes.
 
     ``import time as _time`` -> ``{"_time": "time"}``;
     ``from random import randint`` -> ``{"randint": "random.randint"}``.
     """
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for name in node.names:
                 aliases[name.asname or name.name.split(".")[0]] = name.name
@@ -94,8 +95,8 @@ _WALLCLOCK = {
       "is the one legitimate use — those sites are suppressed with the "
       "reason, and their outputs live in golden VOLATILE_KEYS.")
 def check_wallclock(src: SourceFile) -> Iterator[Site]:
-    aliases = _import_aliases(src.tree)
-    for node in ast.walk(src.tree):
+    aliases = _import_aliases(src.nodes)
+    for node in src.nodes:
         if isinstance(node, ast.Call):
             target = _resolve_call(node.func, aliases)
             if target in _WALLCLOCK:
@@ -134,8 +135,8 @@ def _in_wallclock_module(path: str) -> bool:
 def check_wallclock_containment(src: SourceFile) -> Iterator[Site]:
     if _in_wallclock_module(src.path):
         return
-    aliases = _import_aliases(src.tree)
-    for node in ast.walk(src.tree):
+    aliases = _import_aliases(src.nodes)
+    for node in src.nodes:
         if isinstance(node, ast.Call):
             target = _resolve_call(node.func, aliases)
             if target in _WALLCLOCK:
@@ -159,8 +160,8 @@ _GLOBAL_RNG_FNS = {
       "wall-clock-seeded RNG; any draw from it makes runs irreproducible. "
       "Construct `random.Random(seed)` and thread it explicitly.")
 def check_unseeded_random(src: SourceFile) -> Iterator[Site]:
-    aliases = _import_aliases(src.tree)
-    for node in ast.walk(src.tree):
+    aliases = _import_aliases(src.nodes)
+    for node in src.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = _resolve_call(node.func, aliases)
@@ -266,7 +267,7 @@ _EVENT_MAKERS = {"timeout", "acquire", "all_of", "any_of"}
       "handed to `sim.process(...)` that contain no yield at all.")
 def check_discarded_event(src: SourceFile) -> Iterator[Site]:
     # (a) expression statements that create-and-drop a wait
-    for node in ast.walk(src.tree):
+    for node in src.nodes:
         if not (isinstance(node, ast.Expr) and
                 isinstance(node.value, ast.Call)):
             continue
@@ -289,10 +290,10 @@ def check_discarded_event(src: SourceFile) -> Iterator[Site]:
 
     # (b) local functions driven as processes but containing no yield
     defs: Dict[str, List[ast.AST]] = {}
-    for node in ast.walk(src.tree):
+    for node in src.nodes:
         if isinstance(node, ast.FunctionDef):
             defs.setdefault(node.name, []).append(node)
-    for node in ast.walk(src.tree):
+    for node in src.nodes:
         if not isinstance(node, ast.Call):
             continue
         name = None
@@ -475,7 +476,7 @@ def _seed_expr_verdict(expr: ast.AST,
       "breaking the 1-worker == N-worker determinism guarantee and "
       "poisoning the content-addressed result cache.")
 def check_fleet_seed(src: SourceFile) -> Iterator[Site]:
-    aliases = _import_aliases(src.tree)
+    aliases = _import_aliases(src.nodes)
     for func in src.functions():
         name = func.name.lower()
         if not any(marker in name for marker in _WORKER_NAME_MARKERS):

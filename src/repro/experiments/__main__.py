@@ -14,9 +14,9 @@ stdout.  ``--metrics`` dumps each system's end-of-run metric snapshot
 as CSV.  ``--report`` arms telemetry epochs (and tracing) and renders
 time-series, latency histograms and the span breakdown into one
 self-contained HTML or Markdown artifact; ``--epoch-ns`` tunes the
-sampling period.  ``--profile BASE`` arms the wall-clock self-profiler
-(:mod:`repro.obs.profiler`) and writes ``BASE.md`` +
-``BASE.trace.json`` showing which layer burned the host time.
+sampling period.  ``--profile BASE`` arms the sampling self-profiler
+(:mod:`repro.obs.profiler`) and writes ``BASE.md`` showing which layer
+burned the host CPU time.
 ``--explain OUT.md`` arms per-request causal capture
 (:mod:`repro.obs.causal`) and writes the per-system component
 decomposition — with worst-request causal chains and blame edges —
@@ -104,8 +104,8 @@ def main(argv=None) -> int:
                         help="telemetry sampling period in simulated ns "
                              "(used with --report; default 100000)")
     parser.add_argument("--profile", metavar="BASE",
-                        help="attribute wall time per layer; writes BASE.md "
-                             "+ BASE.trace.json (repro.obs.profiler)")
+                        help="sample host CPU time per layer; writes BASE.md "
+                             "(repro.obs.profiler)")
     parser.add_argument("--explain", metavar="OUT.md",
                         help="arm causal capture and write the per-system "
                              "latency decomposition (repro.obs.causal)")
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
         if args.profile:
             paths = write_profile(
                 args.profile,
-                title=f"{EXPERIMENTS[args.experiment]} — wall attribution")
+                title=f"{EXPERIMENTS[args.experiment]} — host attribution")
             print(f"\n[self-profile -> {', '.join(paths)}]")
         if args.explain:
             summary = causal_summary()

@@ -15,7 +15,7 @@ Usage::
 result; ``run --dry-run`` prints the plan (including what resume would
 skip) without simulating.  Runs journal lifecycle events beside the
 store by default (``--no-journal`` opts out, ``--profile`` adds
-per-layer wall-time attribution to the journal); ``status`` folds the
+per-layer host-time attribution to the journal); ``status`` folds the
 journal in to tell running and failed jobs apart from never-started
 ones, and ``watch`` / ``status --follow`` tail the journal live,
 optionally rewriting a streaming partial report that converges
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
                      help="min wall seconds between journal heartbeats "
                           "(default 2.0)")
     run.add_argument("--profile", action="store_true",
-                     help="wall-clock self-profile each job; per-layer "
+                     help="sample each job's host CPU time; per-layer "
                           "attribution lands in the journal")
     run.add_argument("--causal", action="store_true",
                      help="capture per-request causal latency forensics; "

@@ -85,7 +85,7 @@ def run_one_job(job: Job,
     so the returned result is unchanged), then ``job_completed`` — or
     ``job_failed`` with the error and any ``flightrec-*.json``
     post-mortems the failure dumped beside the journal.  ``profile=True``
-    additionally arms the wall-clock self-profiler and records the
+    additionally arms the sampling self-profiler and records the
     per-layer attribution in the ``job_completed`` event.
 
     ``causal=True`` arms per-request causal capture
@@ -178,7 +178,7 @@ def run_sweep(spec: SweepSpec, store: ResultStore, jobs: int = 1,
     ``journal=True`` (the default) streams per-job lifecycle events into
     ``<store>/journal.ndjson`` for ``watch``/``status --follow``;
     ``heartbeat_s`` throttles the in-flight heartbeats; ``profile=True``
-    arms the wall-clock self-profiler per job and journals the
+    arms the sampling self-profiler per job and journals the
     per-layer attribution; ``causal=True`` embeds each job's causal
     latency decomposition in its stored result (``fleet explain``).
     None of these can perturb simulated results (see

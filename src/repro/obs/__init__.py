@@ -33,11 +33,11 @@ simulators carry the shared :data:`NULL_TRACER` and no observers until
 :func:`enable_tracing` / :func:`enable_telemetry` install construction
 hooks (:mod:`repro.sim.observe`), e.g. via ``--trace``/``--report``.
 
-Two wall-clock substrates complete the picture (both deliberately
+Two host-time substrates complete the picture (both deliberately
 outside the simulated-time determinism contract): the **run journal**
 (:mod:`repro.obs.journal`) streams NDJSON lifecycle events beside a
 fleet result store for ``python -m repro.fleet watch``, and the
-**self-profiler** (:mod:`repro.obs.profiler`) attributes host wall time
+**self-profiler** (:mod:`repro.obs.profiler`) samples host CPU time
 per layer (``--profile`` on the CLIs).  Both are
 off by default and zero-cost when off, and neither ever perturbs
 simulated results.
@@ -82,17 +82,13 @@ from repro.obs.journal import (
 )
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, ScopedRegistry
 from repro.obs.profiler import (
-    WallProfiler,
     attribution,
     attribution_markdown,
-    chrome_profile_trace,
     disable_profiling,
     enable_profiling,
     hottest_layers,
-    profilers,
     profiling_enabled,
     write_profile,
-    write_profile_trace,
 )
 from repro.obs.report import gather, render_html, render_markdown, write_report
 from repro.obs.runtime import (
@@ -166,12 +162,10 @@ __all__ = [
     "RunJournal",
     "TelemetryProbe",
     "TimeSeries",
-    "WallProfiler",
     "active_job",
     "attribution",
     "attribution_markdown",
     "begin_job",
-    "chrome_profile_trace",
     "disable_profiling",
     "disable_telemetry",
     "enable_profiling",
@@ -180,11 +174,9 @@ __all__ = [
     "gather",
     "hottest_layers",
     "journal_path_for",
-    "profilers",
     "profiling_enabled",
     "wall_now",
     "write_profile",
-    "write_profile_trace",
     "label_latest_probe",
     "probe_of",
     "probes",

@@ -152,12 +152,9 @@ class Simulator:
                 continue
             self._now = when
             self._event_count += 1
-            observers = self.observers
-            for observer in observers:
+            for observer in self.observers:
                 observer.on_event(when, event)
             event._process()
-            for observer in observers:
-                observer.on_dispatched(event)
             return
         raise EmptySchedule()
 

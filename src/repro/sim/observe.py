@@ -1,7 +1,7 @@
 """The kernel's one observation seam.
 
 Tooling that watches a simulation — telemetry epochs, the runtime
-sanitizer, the wall-clock profiler, span tracing — never reaches into
+sanitizer, span tracing — never reaches into
 the kernel and the kernel never imports it.  Instead a tool installs a
 *construction hook* here (:func:`add_hook`); every new
 :class:`~repro.sim.Simulator` runs the installed hooks, which may attach
@@ -28,9 +28,6 @@ class Observer:
 
     def on_event(self, when: int, event: Any) -> None:
         """A live event was popped at ``when`` and is about to run."""
-
-    def on_dispatched(self, event: Any) -> None:
-        """Every callback of ``event`` has run."""
 
     def on_stop(self, drained: bool) -> None:
         """A ``run`` call returned; ``drained`` when the queue ran dry

@@ -1,7 +1,10 @@
 """Shared fixtures: small SSD configurations that keep tests fast."""
 
+import signal
+
 import pytest
 
+from repro.obs.profiler import disable_profiling
 from repro.sim import Simulator, observe
 from repro.ssd.config import (
     CacheConfig,
@@ -37,15 +40,26 @@ def tiny_ssd_config(**overrides) -> SSDConfig:
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_construction_hooks():
-    """Fail a test that leaves an ``enable_*`` switch armed: every such
-    switch installs a construction hook in :mod:`repro.sim.observe`."""
+def _no_leaked_switches():
+    """Fail a test that leaves an ``enable_*`` switch armed.  Every such
+    switch installs a construction hook in :mod:`repro.sim.observe`,
+    except profiling, which arms ``ITIMER_PROF`` and a ``SIGPROF``
+    handler instead.  Leaks are reset before failing."""
     before = observe.hooks()
+    handler_before = signal.getsignal(signal.SIGPROF)
     yield
     leaked = [hook for hook in observe.hooks() if hook not in before]
     for hook in leaked:
         observe.remove_hook(hook)
+    timer = signal.getitimer(signal.ITIMER_PROF)
+    handler = signal.getsignal(signal.SIGPROF)
+    disable_profiling()
+    signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+    signal.signal(signal.SIGPROF, handler_before)
     assert not leaked, f"test left construction hooks installed: {leaked}"
+    assert timer == (0.0, 0.0), f"test left ITIMER_PROF armed: {timer}"
+    assert handler is handler_before, \
+        f"test left a SIGPROF handler installed: {handler}"
 
 
 @pytest.fixture

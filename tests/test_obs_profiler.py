@@ -1,29 +1,30 @@
-"""The wall-clock self-profiler (``repro.obs.profiler``): zero cost and
-zero presence when off, bit-identical simulation when on, >= 95% of
-measured wall time attributed across the pinned perf scenarios, and the
-Markdown/Chrome-trace exports the CI artifact is built from
-(``docs/OBSERVABILITY.md``, "Live runs & profiling")."""
+"""The sampling self-profiler (``repro.obs.profiler``): nothing attached
+to any simulator, bit-identical simulation when on, >= 95% of samples
+attributed across the pinned perf scenarios, the frame-chain charging
+rule, and the Markdown export the CI artifact is built from
+(``docs/OBSERVABILITY.md``, "The sampling self-profiler")."""
 
-import json
+import signal
+import sys
 
 import pytest
 
 from repro.experiments.perf_scenarios import SCENARIOS
 from repro.obs import profiler as profiler_mod
 from repro.obs.profiler import (
-    WallProfiler,
     attribution,
     attribution_markdown,
-    chrome_profile_trace,
     disable_profiling,
     enable_profiling,
     hottest_layers,
-    profilers,
     profiling_enabled,
     write_profile,
-    write_profile_trace,
 )
 from repro.sim import Simulator, observe
+
+FTL_FILE = "/x/src/repro/ssd/firmware/ftl/mapping.py"
+FLASH_FILE = "/x/src/repro/ssd/storage/flash.py"
+KERNEL_FILE = "/x/src/repro/sim/events.py"
 
 
 @pytest.fixture(autouse=True)
@@ -45,41 +46,89 @@ def _pingpong(sim, rounds=50):
     return proc()
 
 
+def _defined_in(path, source, name):
+    """Function ``name`` from ``source``, compiled as if it lived at
+    ``path`` — its frames categorize like that module's."""
+    namespace = {}
+    exec(compile(source, path, "exec"), namespace)
+    return namespace[name]
+
+
+def _call_in(path):
+    """A helper whose frame lives in ``path``: ``helper(inner)`` returns
+    ``inner()`` called from inside that frame."""
+    return _defined_in(path, "def call(inner):\n    return inner()\n",
+                       "call")
+
+
+def _charge_here():
+    """What a sample of the calling stack would be charged to."""
+    return profiler_mod._charge(sys._getframe())
+
+
+def _charge_in_run(probe):
+    """``probe()`` evaluated from an event callback inside
+    ``Simulator.run``."""
+    sim = Simulator()
+    seen = []
+    sim.schedule(5, lambda: seen.append(probe()))
+    sim.run()
+    return seen[0]
+
+
 # -- the switch ---------------------------------------------------------------
 
 class TestSwitch:
     def test_off_by_default(self):
         assert not profiling_enabled()
-        Simulator()
-        assert profilers() == []
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGPROF) is not profiler_mod._on_sample
 
     def test_enable_arms_new_simulators(self):
+        """Armed, profiling samples the whole process: simulators built
+        afterwards are covered while keeping their plain loop."""
         enable_profiling()
         assert profiling_enabled()
-        sim = Simulator()
-        assert len(profilers()) == 1
-        assert profilers()[0] in sim.observers
+        assert Simulator().observers == []
+        SCENARIOS["kernel_churn"]("smoke")
+        assert attribution()["layers"]["sim"]["samples"] > 0
+
+    def test_enable_installs_no_construction_hook(self):
+        """Arming (even twice) leaves the construction-hook registry
+        alone and attaches no observer to a new simulator."""
+        before = observe.hooks()
+        enable_profiling()
+        enable_profiling()
+        assert observe.hooks() == before == ()
+        assert Simulator().observers == []
 
     def test_disable_drops_collected_profilers(self):
         enable_profiling()
-        Simulator()
+        SCENARIOS["kernel_churn"]("smoke")
         disable_profiling()
         assert not profiling_enabled()
-        assert profilers() == []
-        Simulator()
-        assert profilers() == []
-
-    def test_enable_installs_one_construction_hook(self):
-        before = len(observe.hooks())
+        assert attribution()["samples"] > 0      # readable until re-armed
         enable_profiling()
-        enable_profiling()
-        assert len(observe.hooks()) == before + 1
-        Simulator()
-        assert len(profilers()) == 1
+        assert attribution()["samples"] <= 1     # a fresh session
 
-    def test_max_slices_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_slices"):
-            enable_profiling(max_slices=0)
+    def test_enable_disable_restores_the_previous_handler(self):
+        def previous(_signum, _frame):
+            """A stand-in for whatever handler was installed before."""
+
+        original = signal.signal(signal.SIGPROF, previous)
+        try:
+            enable_profiling()
+            assert signal.getsignal(signal.SIGPROF) is profiler_mod._on_sample
+            interval = signal.getitimer(signal.ITIMER_PROF)[1]
+            assert interval == pytest.approx(profiler_mod.INTERVAL_S)
+            enable_profiling()                   # re-arming keeps it
+            disable_profiling()
+            assert signal.getsignal(signal.SIGPROF) is previous
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            disable_profiling()                  # idempotent
+            assert signal.getsignal(signal.SIGPROF) is previous
+        finally:
+            signal.signal(signal.SIGPROF, original)
 
 
 # -- behavioural equivalence --------------------------------------------------
@@ -153,68 +202,93 @@ class TestBitIdentical:
         assert sim.now == 100
 
     def test_bench_scenario_facts_identical(self):
-        """The perf scenarios produce the same deterministic facts."""
-        plain = SCENARIOS["kernel_churn"]("smoke")
-        enable_profiling()
-        profiled = SCENARIOS["kernel_churn"]("smoke")
-        assert profiled.events == plain.events
-        assert profiled.sim_ns == plain.sim_ns
+        """Every perf scenario produces the same deterministic facts."""
+        for name, runner in SCENARIOS.items():
+            plain = runner("smoke")
+            enable_profiling()
+            profiled = runner("smoke")
+            disable_profiling()
+            assert profiled.events == plain.events, name
+            assert profiled.sim_ns == plain.sim_ns, name
 
 
 # -- attribution --------------------------------------------------------------
 
 class TestAttribution:
     def test_attributes_95_percent_across_perf_scenarios(self):
-        """The acceptance pin: >= 95% of measured wall time attributed,
-        per scenario, for all three pinned benchmarks."""
+        """The acceptance pin: >= 95% of samples attributed, per
+        scenario, for all three pinned benchmarks."""
         for name, runner in SCENARIOS.items():
             enable_profiling()
             runner("smoke")
             doc = attribution()
-            assert doc["total_wall_s"] > 0, name
+            assert doc["samples"] > 0 and doc["cpu_s"] > 0, name
             assert doc["attributed_fraction"] >= 0.95, \
                 f"{name}: {doc['attributed_fraction']:.3f}"
             shares = sum(e["share"] for e in doc["layers"].values())
             assert shares == pytest.approx(doc["attributed_fraction"])
+            seconds = sum(e["seconds"] for e in doc["layers"].values())
+            assert seconds == pytest.approx(
+                doc["cpu_s"] * doc["attributed_fraction"])
             disable_profiling()
 
     def test_real_layers_show_up(self):
         enable_profiling()
-        SCENARIOS["randread_nvme"]("smoke")
+        SCENARIOS["write_storm_gc"]("smoke")
         doc = attribution()
         assert {"nvme", "icl", "sim"} <= set(doc["layers"])
         for entry in doc["layers"].values():
-            assert entry["calls"] >= 0 and entry["seconds"] >= 0.0
+            assert entry["samples"] > 0 and entry["seconds"] > 0.0
 
     def test_kernel_overhead_is_booked_under_sim(self):
-        prof = WallProfiler(label="x")
-        prof.record([], 0.0, 0.25)
-        prof.note_run(1.0)
-        doc = attribution([prof])
-        assert doc["kernel_wall_s"] == pytest.approx(0.75)
-        assert doc["layers"]["sim"]["seconds"] == pytest.approx(1.0)
-        assert doc["attributed_fraction"] == pytest.approx(1.0)
-
-    def test_merges_across_profilers(self):
-        a, b = WallProfiler(label="a"), WallProfiler(label="b")
-        for prof in (a, b):
-            prof.record([], 0.0, 0.5)
-            prof.note_run(0.5)
-        doc = attribution([a, b])
-        assert doc["runs"] == 2 and doc["events"] == 2
-        assert doc["total_wall_s"] == pytest.approx(1.0)
+        """A run-loop stack whose only repro frames are the kernel's."""
+        layer, site = _charge_in_run(_charge_here)
+        assert layer == "sim"
+        assert site.split(":")[0] == "engine.py"
 
     def test_hottest_layers_orders_by_seconds(self):
         doc = {"layers": {"ftl": {"seconds": 3.0}, "sim": {"seconds": 1.0},
                           "nvme": {"seconds": 2.0}, "gc": {"seconds": 0.5}}}
         assert hottest_layers(doc) == ["ftl", "nvme", "sim"]
 
-    def test_empty_attribution_is_harmless(self):
-        doc = attribution([])
-        assert doc["total_wall_s"] == 0.0
+    def test_empty_attribution_is_harmless(self, monkeypatch):
+        monkeypatch.setattr(profiler_mod, "_samples", {})
+        monkeypatch.setattr(profiler_mod, "_unattributed", 0)
+        doc = attribution()
+        assert doc["samples"] == 0
         assert doc["attributed_fraction"] == 0.0
-        assert doc["label"] == "(no profilers)"
-        assert "0 dispatched event(s)" in attribution_markdown([])
+        assert doc["layers"] == {} and doc["sites"] == {}
+        assert "0 sample(s)" in attribution_markdown()
+
+    def test_frameless_samples_are_unattributed(self, monkeypatch):
+        monkeypatch.setattr(profiler_mod, "_samples", {})
+        monkeypatch.setattr(profiler_mod, "_unattributed", 0)
+        profiler_mod._on_sample(signal.SIGPROF, None)
+        profiler_mod._on_sample(signal.SIGPROF, sys._getframe())
+        doc = attribution()
+        assert doc["samples"] == 2
+        assert doc["attributed_fraction"] == pytest.approx(0.5)
+
+
+# -- the frame chain ----------------------------------------------------------
+
+class TestCharge:
+    def test_innermost_model_layer_wins_over_kernel_frames(self):
+        in_ftl, in_kernel = _call_in(FTL_FILE), _call_in(KERNEL_FILE)
+        charged = _charge_in_run(
+            lambda: in_ftl(lambda: in_kernel(_charge_here)))
+        assert charged == ("ftl", "mapping.py:call")
+
+    def test_innermost_of_two_model_layers_wins(self):
+        in_ftl, in_flash = _call_in(FTL_FILE), _call_in(FLASH_FILE)
+        charged = _charge_in_run(
+            lambda: in_ftl(lambda: in_flash(_charge_here)))
+        assert charged == ("flash", "flash.py:call")
+
+    def test_stack_without_run_loop_is_setup(self):
+        assert _call_in(FTL_FILE)(_charge_here) == \
+            ("setup", "mapping.py:call")
+        assert _charge_here()[0] == "setup"
 
 
 # -- exports ------------------------------------------------------------------
@@ -225,51 +299,24 @@ class TestExports:
         SCENARIOS["write_storm_gc"]("smoke")
         text = attribution_markdown()
         assert "Top-3 hottest layers:" in text
-        assert "| layer | calls | wall ms | share |" in text
+        assert "| layer | samples | CPU ms | share |" in text
+        assert "| hottest call sites | samples | CPU ms |" in text
         doc = attribution()
         for name in hottest_layers(doc):
             assert f"`{name}`" in text
 
-    def test_chrome_trace_is_valid_and_wall_scaled(self, tmp_path):
+    def test_write_profile_emits_markdown_only(self, tmp_path):
         enable_profiling()
-        sim = Simulator()
-        sim.run_process(_pingpong(sim))
-        path = tmp_path / "prof.trace.json"
-        n_events = write_profile_trace(path, profilers())
-        doc = json.loads(path.read_text())
-        assert len(doc["traceEvents"]) == n_events > 0
-        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert slices and all(e["dur"] >= 0 for e in slices)
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "M"}
-        assert "process_name" in names
-
-    def test_trace_slices_are_bounded(self):
-        enable_profiling(max_slices=4)
-        sim = Simulator()
-        sim.run_process(_pingpong(sim, rounds=100))
-        prof = profilers()[0]
-        assert len(prof.slices()) == 4
-        assert prof.events > 4          # totals still cover everything
-
-    def test_write_profile_emits_both_artifacts(self, tmp_path):
-        enable_profiling()
-        sim = Simulator()
-        sim.run_process(_pingpong(sim))
+        SCENARIOS["kernel_churn"]("smoke")
         paths = write_profile(tmp_path / "attr")
-        assert [p.split(".", 1)[-1] for p in
-                [str(p)[len(str(tmp_path)) + 1:] for p in paths]] == \
-            ["md", "trace.json"]
-        markdown = (tmp_path / "attr.md").read_text()
-        assert "Wall-clock attribution" in markdown
-        json.loads((tmp_path / "attr.trace.json").read_text())
+        assert paths == [str(tmp_path / "attr.md")]
+        assert [p.name for p in tmp_path.iterdir()] == ["attr.md"]
+        assert "Host-time attribution" in (tmp_path / "attr.md").read_text()
 
     def test_write_profile_strips_a_suffixed_base(self, tmp_path):
         enable_profiling()
-        sim = Simulator()
-        sim.run_process(_pingpong(sim))
         paths = write_profile(tmp_path / "attr.md")
-        assert str(tmp_path / "attr.md") in paths
-        assert str(tmp_path / "attr.trace.json") in paths
+        assert paths == [str(tmp_path / "attr.md")]
 
 
 # -- categorization -----------------------------------------------------------
@@ -295,10 +342,14 @@ class TestCategorize:
         assert profiler_mod._categorize(path) == layer
 
     def test_process_resume_attributes_to_the_generator(self):
-        enable_profiling()
+        """A process step is charged to the module defining the
+        generator, not to the kernel's ``Process._resume``."""
+        worker = _defined_in(
+            FTL_FILE,
+            "def worker(sim, probe):\n"
+            "    yield sim.timeout(3)\n"
+            "    return probe()\n",
+            "worker")
         sim = Simulator()
-        sim.run_process(_pingpong(sim))
-        doc = attribution()
-        # the generator lives in this test file -> "other", not "sim"
-        assert "other" in doc["layers"]
-        assert any("test_obs_profiler" in name for name in doc["modules"])
+        assert sim.run_process(worker(sim, _charge_here)) == \
+            ("ftl", "mapping.py:worker")
