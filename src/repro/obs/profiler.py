@@ -11,7 +11,7 @@ this module answers it in *host* time.
 tick) and installs a ``SIGPROF`` handler.  Each sample walks the
 interrupted stack toward the root and is charged to the innermost frame
 whose code lives in a **model layer**
-(``host``/``hostos``/``nvme``/``icl``/``ftl``/``gc``/``fil``/``flash``/…,
+(``core``/``hostos``/``host``/``nvme``/``icl``/``ftl``/``gc``/``fil``/…,
 see :func:`_categorize`).  A stack whose only repro frames are the
 kernel's is charged to ``sim``; a stack with no ``Simulator.run`` frame
 at all — building systems, preconditioning bookkeeping, rendering — is
@@ -61,8 +61,9 @@ _CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
     ("/repro/interfaces/ocssd/", "ocssd"),
     ("/repro/interfaces/", "interface"),
     ("/repro/hostos/", "hostos"),
-    ("/repro/core/", "host"),
-    ("/repro/workloads/", "host"),
+    ("/repro/host/", "host"),
+    ("/repro/core/", "core"),
+    ("/repro/workloads/", "core"),
     ("/repro/baselines/", "baseline"),
     ("/repro/sim/", "sim"),
 )

@@ -19,6 +19,7 @@ from repro.ssd.config import SSDConfig
 from repro.ssd.content import ContentStore
 from repro.ssd.firmware.fil import FlashInterfaceLayer
 from repro.ssd.firmware.ftl.ftl import FlashTranslationLayer
+from repro.ssd.firmware.ftl.mapping import UNMAPPED
 from repro.ssd.firmware.hil import HostInterfaceLayer
 from repro.ssd.firmware.icl import InternalCacheLayer
 from repro.ssd.firmware.requests import DeviceCommand
@@ -103,31 +104,37 @@ class SSD:
     # -- state preparation ---------------------------------------------------
 
     def precondition_sequential(self, fraction: float = 1.0) -> int:
-        """Instantly fill the device with sequential data (STEADY-STATE prep).
+        """Instantly fill a fresh device with sequential data (STEADY-STATE prep).
 
         The paper preconditions every validation run by sequentially
         writing the whole target space; doing that through the timed path
-        would simulate minutes of wall-clock writes, so this fills the
-        mapping/array state directly.  Returns the number of pages placed.
+        would simulate minutes of wall-clock writes, so this sets the
+        state that writing the first ``fraction`` of the lines page by
+        page through the allocator would leave.  Returns the number of
+        pages placed.  A device that was programmed, erased or mapped
+        raises.  On a fresh one the fill is closed-form: each parallel
+        unit serves one (line group, slot), so the ``i``-th line of that
+        group lands on ``ppn = unit * pages_per_unit + i``, and each unit
+        takes one slice write into ``l2p`` and one into ``p2l``.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         if self.config.ftl.mapping != "page":
             raise ValueError("preconditioning supports page mapping only")
-        ftl = self.ftl
-        slots = ftl.allocator.slots_per_line
+        array, allocator, mapping = (self.array, self.ftl.allocator,
+                                     self.ftl.mapping)
+        # l2p.max(), not mapped_count: no temporary as large as the table
+        if (array.total_programs or array.total_erases
+                or mapping.l2p.max() != UNMAPPED):
+            raise RuntimeError("preconditioning needs a fresh device")
+        slots = allocator.slots_per_line
         n_lines = int(self.config.logical_pages * fraction) // slots
-        placed = 0
-        for line_id in range(n_lines):
-            units = ftl.allocator.line_units(line_id)
-            for slot in range(slots):
-                lpn = ftl.line_lpn(line_id, slot)
-                ppn = ftl.allocator.allocate(units[slot], self.sim.now)
-                old = ftl.mapping.bind(lpn, ppn)
-                if old is not None:
-                    self.array.invalidate_ppn(old)
-                placed += 1
-        return placed
+        for group, lines in allocator.group_lines(n_lines):
+            for slot, unit in enumerate(allocator.group_units(group)):
+                allocator.fill_unit(unit, len(lines), self.sim.now)
+                mapping.bind_run(lines * slots + slot,
+                                 unit * array.mapper.pages_per_unit)
+        return n_lines * slots
 
     # -- reports ----------------------------------------------------------------
 

@@ -10,7 +10,9 @@ multi-way parallelism of Figure 2.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.ssd.config import SSDConfig
 from repro.ssd.storage.array import FlashArray
@@ -48,6 +50,12 @@ class PageAllocator:
             raise ValueError("superpage channel span must divide channel count")
         if geom.ways_per_channel % self._span_ways:
             raise ValueError("superpage way span must divide way count")
+        self._n_cgroups = geom.channels // self._span_channels
+        self._n_wgroups = geom.ways_per_channel // self._span_ways
+        self._banded = config.fil.placement == "banded"
+        self._band_lines = max(1, config.logical_capacity // config.superpage_size)
+        self._group_units = [self._slot_units(group) for group
+                             in range(self._n_cgroups * self._n_wgroups)]
 
     # -- superpage geometry -------------------------------------------------
 
@@ -55,36 +63,44 @@ class PageAllocator:
     def slots_per_line(self) -> int:
         return self._slots
 
-    def line_units(self, line_id: int) -> List[int]:
-        """Parallel units backing each page slot of a logical line.
+    def line_group(self, line_id: int) -> int:
+        """The (channel group, way group) a logical line stripes over.
 
         With ``fil.placement == "rotate"`` (default), consecutive lines
         rotate across way groups (and channel groups if the span is
         partial) so streams pipeline over all resources.  With
         ``"banded"``, the logical line space is cut into one contiguous
-        band per (channel, way) group instead: a namespace confined to
-        one band touches only its own dies, and since GC works per
-        parallel unit, its garbage collection cannot disturb other
-        bands (die-level tenant isolation; see docs/MULTITENANT.md).
+        band per group instead: a namespace confined to one band touches
+        only its own dies, and since GC works per parallel unit, its
+        garbage collection cannot disturb other bands (die-level tenant
+        isolation; see docs/MULTITENANT.md).  Groups are numbered
+        channel-major, so adjacent bands share a channel and a tenant
+        holding a contiguous run of bands owns whole channels (bus
+        isolation), not just whole dies.
         """
+        n_cgroups, n_wgroups = self._n_cgroups, self._n_wgroups
+        if self._banded:
+            n_groups = n_cgroups * n_wgroups
+            return min(n_groups - 1, line_id * n_groups // self._band_lines)
+        return line_id % n_cgroups * n_wgroups + line_id // n_cgroups % n_wgroups
+
+    def group_lines(self, n_lines: int) -> Iterator[Tuple[int, np.ndarray]]:
+        """Lines ``0 .. n_lines - 1`` by :meth:`line_group`, as
+        ``(group, ascending line ids)`` for each group that has any."""
+        groups = np.fromiter(map(self.line_group, range(n_lines)),
+                             dtype=np.int64, count=n_lines)
+        for group in np.flatnonzero(np.bincount(groups)).tolist():
+            yield group, np.flatnonzero(groups == group)
+
+    def group_units(self, group: int) -> Tuple[int, ...]:
+        """Parallel units backing each page slot of a group's lines."""
+        return self._group_units[group]
+
+    def _slot_units(self, group: int) -> Tuple[int, ...]:
         geom = self.config.geometry
         planes = geom.planes_per_die
         ways = geom.ways_per_channel
-        n_cgroups = geom.channels // self._span_channels
-        n_wgroups = ways // self._span_ways
-        if self.config.fil.placement == "banded":
-            n_groups = n_cgroups * n_wgroups
-            n_lines = self.config.logical_capacity // self.config.superpage_size
-            band = min(n_groups - 1, line_id * n_groups // max(1, n_lines))
-            # channel-major: adjacent bands share a channel, so a tenant
-            # holding a contiguous run of bands owns whole channels (bus
-            # isolation), not just whole dies
-            cgroup = band // n_wgroups
-            wgroup = band % n_wgroups
-        else:
-            cgroup = line_id % n_cgroups
-            wgroup = (line_id // n_cgroups) % n_wgroups
-
+        cgroup, wgroup = divmod(group, self._n_wgroups)
         order = self.config.fil.parallelism_order
         units: List[int] = []
         for slot in range(self._slots):
@@ -100,7 +116,7 @@ class PageAllocator:
             channel = cgroup * self._span_channels + ch_in
             way = wgroup * self._span_ways + w_in
             units.append((channel * ways + way) * planes + plane)
-        return units
+        return tuple(units)
 
     # -- allocation -----------------------------------------------------------
 
@@ -137,6 +153,26 @@ class PageAllocator:
             state.filled[state.active] = None
             state.active = None
         return ppn
+
+    def fill_unit(self, unit: int, pages: int, now: int) -> None:
+        """Claim ``pages`` pages of a unit with no active block at once:
+        the pools and blocks end as ``pages`` :meth:`allocate` calls leave
+        them, with whole blocks filled and a partial last one active."""
+        ppb = self.config.geometry.pages_per_block
+        state = self._units[unit]
+        if state.active is not None:
+            raise RuntimeError(f"unit {unit} has an active block")
+        full, rest = divmod(pages, ppb)
+        if full + (rest > 0) > len(state.free):
+            raise OutOfBlocksError(f"unit {unit} has no free blocks")
+        for _ in range(full):
+            block = state.free.popleft()
+            self.array.block(unit, block).fill(ppb, now)
+            state.filled[block] = None
+        if rest:
+            state.active = state.free.popleft()
+            self.array.block(unit, state.active).fill(rest, now)
+        self.array.total_programs += pages
 
     # -- GC support -------------------------------------------------------------
 

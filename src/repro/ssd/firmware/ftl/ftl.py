@@ -133,7 +133,7 @@ class FlashTranslationLayer:
     def _write_page_mapped(self, line_id: int,
                            slot_data: Dict[int, Optional[bytes]],
                            partial: bool, track: int = 0):
-        units = self.allocator.line_units(line_id)
+        units = self.allocator.group_units(self.allocator.line_group(line_id))
         # Group slots by die and allocate each die's planes atomically
         # (both unit locks held): sibling planes stay in page-offset
         # lockstep, so the FIL can fuse them into one multi-plane program

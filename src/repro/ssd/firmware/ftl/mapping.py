@@ -55,6 +55,11 @@ class PageMapping:
             return old
         return None
 
+    def bind_run(self, lpns: np.ndarray, first_ppn: int) -> None:
+        """Map unmapped ``lpns[i]`` to free ``first_ppn + i``, all at once."""
+        self.l2p[lpns] = np.arange(first_ppn, first_ppn + len(lpns))
+        self.p2l[first_ppn:first_ppn + len(lpns)] = lpns
+
     def unbind(self, lpn: int) -> Optional[int]:
         old = int(self.l2p[lpn])
         if old == UNMAPPED:

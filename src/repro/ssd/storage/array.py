@@ -54,6 +54,14 @@ class BlockState:
         self.valid_count += 1
         self.last_write_time = now
 
+    def fill(self, pages: int, now: int) -> None:
+        """Program pages ``0 .. pages - 1`` of an erased block at once."""
+        if self.next_page:
+            raise RuntimeError(f"fill of programmed block {self.index}")
+        self._programmed_bits = self._valid_bits = (1 << pages) - 1
+        self.next_page = self.valid_count = pages
+        self.last_write_time = now
+
     def invalidate(self, page: int) -> None:
         if not self._programmed_bits >> page & 1:
             raise RuntimeError(f"invalidate of FREE page {page}")

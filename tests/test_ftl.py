@@ -38,7 +38,7 @@ class TestPageAllocator:
 
     def test_line_units_cover_span(self, config, array):
         allocator = PageAllocator(config, array)
-        units = allocator.line_units(0)
+        units = allocator.group_units(allocator.line_group(0))
         assert len(units) == config.superpage_pages
         assert len(set(units)) == len(units)    # all distinct
 
@@ -46,7 +46,7 @@ class TestPageAllocator:
         allocator = PageAllocator(config, array)
         # tiny config has 1 way; rotation degenerates but stays valid
         for line in range(4):
-            units = allocator.line_units(line)
+            units = allocator.group_units(allocator.line_group(line))
             assert all(0 <= u < config.geometry.parallel_units
                        for u in units)
 

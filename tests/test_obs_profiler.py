@@ -6,10 +6,14 @@ rule, and the Markdown export the CI artifact is built from
 
 import signal
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.common.instructions import InstructionMix
 from repro.experiments.perf_scenarios import SCENARIOS
+from repro.host.cpu import HostCpu
 from repro.obs import profiler as profiler_mod
 from repro.obs.profiler import (
     attribution,
@@ -331,8 +335,9 @@ class TestCategorize:
         ("/x/src/repro/ssd/storage/flash.py", "flash"),
         ("/x/src/repro/interfaces/nvme/queues.py", "nvme"),
         ("/x/src/repro/hostos/blocklayer.py", "hostos"),
-        ("/x/src/repro/core/system.py", "host"),
-        ("/x/src/repro/workloads/fio.py", "host"),
+        ("/x/src/repro/host/cpu.py", "host"),
+        ("/x/src/repro/core/system.py", "core"),
+        ("/x/src/repro/workloads/fio.py", "core"),
         ("/x/src/repro/baselines/replay.py", "baseline"),
         ("/x/src/repro/sim/process.py", "sim"),
         ("/somewhere/else.py", "other"),
@@ -340,6 +345,30 @@ class TestCategorize:
     ])
     def test_path_to_layer(self, path, layer):
         assert profiler_mod._categorize(path) == layer
+
+    @pytest.mark.parametrize("package", [
+        "host", "hostos", "core", "workloads", "interfaces", "ssd",
+        "baselines"])
+    def test_every_model_module_has_a_layer(self, package):
+        """No model module falls through to ``other``, or to ``sim``,
+        which would book its samples as kernel time."""
+        root = Path(repro.__file__).parent / package
+        files = sorted(root.rglob("*.py"))
+        assert files
+        unattributed = [str(path) for path in files
+                        if profiler_mod._categorize(str(path))
+                        in ("other", "sim")]
+        assert unattributed == []
+
+    def test_sample_inside_host_cpu_execute_is_charged_to_host(self):
+        """A real frame of ``repro/host/cpu.py:execute`` on the stack
+        charges the sample to ``host``, not to the kernel."""
+        sim = Simulator()
+        cpu = HostCpu(sim, n_cores=1, frequency=1_000_000_000)
+        charged = []
+        cpu.exec_ns = lambda mix: charged.append(_charge_here()) or 10
+        sim.run_process(cpu.execute(InstructionMix.typical(100)))
+        assert charged == [("host", "cpu.py:execute")]
 
     def test_process_resume_attributes_to_the_generator(self):
         """A process step is charged to the module defining the
